@@ -3,7 +3,8 @@ completion planning, and the exhaustive/randomized enumeration harness.
 
 Exit codes: 0 success, 1 usage or parse error, 2 property violated (the
 combinatorial characterization and the polynomial oracle disagreed, which
-would falsify the library's central claims).
+would falsify the library's central claims, or an internal invariant such as
+a certificate re-check or a planned step failed).
 """
 
 from __future__ import annotations
@@ -148,14 +149,13 @@ def run_plan(cfg: RunConfig) -> int:
 
 def _tally_graphs(graphs) -> dict:
     """Classify every edge addition of every graph against the oracle."""
-    cache: dict = {}
     tally = {"type1": 0, "type2": 0, "none": 0, "instances": 0, "mismatches": 0}
     for g in graphs:
         for v, w in g.non_adjacent_pairs():
             for parity in (EVEN, ODD):
                 tally["instances"] += 1
                 verdict = classify(g, v, w, parity)
-                oracle = siv_oracle(g, v, w, parity, cache)
+                oracle = siv_oracle(g, v, w, parity)
                 tally[verdict.kind] += 1
                 if verdict.params != oracle.params:
                     tally["mismatches"] += 1
@@ -313,7 +313,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -391,8 +391,6 @@ def plan_completion(
     """
     if not is_sigma_completable(g, target):
         raise ValueError("graph is not integrally completable toward the target")
-    if cache is None:
-        cache = {}
     missing = sorted(set(target.all_edges()) - g.edges)
     if target.n >= 4:
         y_first = sorted(set(missing) & y_set(target))
@@ -445,8 +443,6 @@ def brute_force_completable(
         raise ValueError("vertex counts differ")
     if not _sign_restriction_matches(g, target):
         return False
-    if cache is None:
-        cache = {}
     if memo is None:
         memo = {}
     full = frozenset(target.all_edges())
@@ -460,14 +456,14 @@ def brute_force_completable(
         if known is not None:
             return known
         state = SignedGraph(n, edges, odd & edges)
-        result = False
-        for e in sorted(full - edges):
-            parity = ODD if e in odd else EVEN
-            if siv_oracle(state, *e, parity, cache).kind != NONE and reach(
-                edges | {e}
-            ):
-                result = True
-                break
+        # Every verdict on this state is taken before recursing, while the
+        # oracle's one-graph memo still holds the state's polynomial pass.
+        steps = [
+            e
+            for e in sorted(full - edges)
+            if siv_oracle(state, *e, ODD if e in odd else EVEN, cache).kind != NONE
+        ]
+        result = any(reach(edges | {e}) for e in steps)
         memo[edges] = result
         return result
 

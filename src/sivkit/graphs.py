@@ -146,9 +146,6 @@ class SignedGraph:
             if pair not in self.edges:
                 yield pair
 
-    def same_underlying(self, other: SignedGraph) -> bool:
-        return self.n == other.n and self.edges == other.edges
-
 
 def switch_at(g: SignedGraph, s: Iterable[int]) -> SignedGraph:
     """Flip the parity of every edge with exactly one end in s."""

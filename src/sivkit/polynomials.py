@@ -3,7 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import zip_longest
+from typing import Iterable, Sequence
+
+
+def coefficient_ratio(num: Sequence[int], den: Sequence[int]) -> int | None:
+    """The integer c with num == c * den, on ascending coefficient sequences,
+    or None.  The last entry of den must be nonzero."""
+    top = len(den) - 1
+    c, r = divmod(num[top] if top < len(num) else 0, den[top])
+    if r or any(a != c * d for a, d in zip_longest(num, den, fillvalue=0)):
+        return None
+    return c
 
 
 @dataclass(frozen=True)
@@ -145,14 +156,7 @@ class IntPoly:
         """Return the integer c with self == c * other, or None."""
         if other.is_zero:
             return None
-        if self.is_zero:
-            return 0
-        if self.degree != other.degree:
-            return None
-        if self.leading % other.leading != 0:
-            return None
-        c = self.leading // other.leading
-        return c if self == other * c else None
+        return coefficient_ratio(self.coeffs, other.coeffs)
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)

@@ -16,6 +16,7 @@ from .graphs import (
     EVEN,
     NeighborhoodSplit,
     SignedGraph,
+    _check_pair,
     _check_parity,
     edge_quantities,
     is_centered,
@@ -26,18 +27,11 @@ from .graphs import (
 from .spectra import NONE, TYPE1, TYPE2, SivVerdict
 
 
-def _require_non_adjacent(g: SignedGraph, v: int, w: int) -> None:
-    if v == w:
-        raise ValueError("v and w must be distinct")
-    if g.has_edge(v, w):
-        raise ValueError(f"vertices {v} and {w} are adjacent")
-
-
 def check_type1(g: SignedGraph, v: int, w: int, parity: str) -> bool:
     """Single-eigenvalue shift test: equal (even parity) or swapped (odd
     parity) signed neighborhoods of v and w."""
     _check_parity(parity)
-    _require_non_adjacent(g, v, w)
+    _check_pair(g, v, w)
     ov, ev = g.odd_neighbors(v), g.even_neighbors(v)
     ow, ew = g.odd_neighbors(w), g.even_neighbors(w)
     if parity == EVEN:
@@ -70,7 +64,7 @@ def check_type2(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     graph switched at (N(w) - N(v)) + {w}.
     """
     _check_parity(parity)
-    _require_non_adjacent(g, v, w)
+    _check_pair(g, v, w)
     if parity != EVEN:
         switched = switch_at(g, (g.neighbors(w) - g.neighbors(v)) | {w})
         return check_type2(switched, v, w, EVEN)
@@ -101,7 +95,7 @@ def classify(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     """Full combinatorial decision; the reported type-1 eigenvalue is the
     common degree of v and w."""
     _check_parity(parity)
-    _require_non_adjacent(g, v, w)
+    _check_pair(g, v, w)
     if check_type1(g, v, w, parity):
         return SivVerdict(TYPE1, lam=g.degree(v))
     return check_type2(g, v, w, parity)

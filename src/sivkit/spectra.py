@@ -8,10 +8,12 @@ polynomial identities, independent of any combinatorial characterization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from typing import MutableMapping
 
-from .graphs import SignedGraph, _check_parity
-from .polynomials import IntPoly
+from .graphs import ODD, SignedGraph, _check_pair, _check_parity
+from .polynomials import IntPoly, coefficient_ratio
 
 NONE = "none"
 TYPE1 = "type1"
@@ -62,32 +64,38 @@ def signed_laplacian(g: SignedGraph) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
-def char_poly(m: IntMatrix) -> IntPoly:
-    """det(xI - m), monic with exact integer coefficients.
+def faddeev_leverrier(m: IntMatrix) -> tuple[list[int], list[list[list[int]]]]:
+    """Coefficients of det(xI - m), ascending, and the matrices B_0..B_{n-1}
+    with adj(xI - m) = sum of B_k x^(n-1-k).
 
-    Faddeev-LeVerrier recurrence; every internal division is exact.  Runs on
-    plain lists to keep the inner loops cheap.
+    Division-free over the integers: B_0 = I, B_k = m B_(k-1) + c_(n-k) I and
+    c_(n-k) = -tr(m B_(k-1)) / k, where every division is exact.  Each B_k is
+    a polynomial in m and so commutes with it; the products are taken as
+    B_(k-1) m, which pairs the rows of B with the fixed columns of m.
     """
     n = m.n
-    rows = [list(row) for row in m.rows]
+    cols = list(zip(*m.rows))
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    mk = [row[:] for row in rows]
-    c = -sum(mk[i][i] for i in range(n))
-    coeffs[n - 1] = c
-    rng = range(n)
-    for k in range(2, n + 1):
-        for i in rng:
-            mk[i][i] += c
-        mk = [
-            [sum(row[h] * mk[h][j] for h in rng) for j in rng] for row in rows
-        ]
-        t = sum(mk[i][i] for i in rng)
+    adjugate = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    mk = [list(row) for row in m.rows]  # B_0 m
+    for k in range(1, n + 1):
+        t = sum(mk[i][i] for i in range(n))
         if t % k:
             raise ArithmeticError("inexact trace division in char_poly")
         c = -(t // k)
         coeffs[n - k] = c
-    return IntPoly(tuple(coeffs))
+        if k < n:
+            for i in range(n):
+                mk[i][i] += c
+            adjugate.append(mk)
+            mk = [[sum(map(mul, row, col)) for col in cols] for row in mk]
+    return coeffs, adjugate
+
+
+def char_poly(m: IntMatrix) -> IntPoly:
+    """det(xI - m), monic with exact integer coefficients."""
+    return IntPoly(tuple(faddeev_leverrier(m)[0]))
 
 
 def _divisors(value: int) -> list[int]:
@@ -180,13 +188,24 @@ class SivVerdict:
 PolyCache = MutableMapping[SignedGraph, IntPoly]
 
 
+@lru_cache(maxsize=1)
+def _laplacian_pass(g: SignedGraph) -> tuple[IntPoly, list[list[list[int]]]]:
+    """p = det(xI - L) and the adjugate matrices B_k of the last graph asked
+    about.  One entry suffices: sweeps ask about every addition to a graph
+    before moving on, so a graph's Faddeev-LeVerrier pass runs once.  The
+    matrices are shared between callers and must not be modified."""
+    coeffs, adjugate = faddeev_leverrier(signed_laplacian(g))
+    return IntPoly(tuple(coeffs)), adjugate
+
+
 def laplacian_char_poly(g: SignedGraph, cache: PolyCache | None = None) -> IntPoly:
-    """char_poly(signed_laplacian(g)), optionally memoized by graph."""
+    """char_poly(signed_laplacian(g)), optionally memoized by graph; the pass
+    itself is shared with siv_oracle through their one-graph memo."""
     if cache is None:
-        return char_poly(signed_laplacian(g))
+        return _laplacian_pass(g)[0]
     poly = cache.get(g)
     if poly is None:
-        poly = char_poly(signed_laplacian(g))
+        poly = _laplacian_pass(g)[0]
         cache[g] = poly
     return poly
 
@@ -210,6 +229,16 @@ def verify_shift_identity(p: IntPoly, p_after: IntPoly, verdict: SivVerdict) -> 
     raise ValueError(f"unknown verdict kind {verdict.kind!r}")
 
 
+def _addition_delta(g: SignedGraph, v: int, w: int, parity: str) -> tuple[IntPoly, list[int]]:
+    """g's polynomial p and delta = p' - p = -u^T adj(xI - L) u for adding the
+    edge vw, with ascending coefficients like p."""
+    p, adjugate = _laplacian_pass(g)
+    vi, wi = v - 1, w - 1
+    cross = 2 if parity == ODD else -2
+    # adjugate[k] multiplies x^(n-1-k)
+    return p, [-(b[vi][vi] + b[wi][wi] + cross * b[vi][wi]) for b in reversed(adjugate)]
+
+
 def siv_oracle(
     g: SignedGraph,
     v: int,
@@ -219,46 +248,55 @@ def siv_oracle(
 ) -> SivVerdict:
     """Decide integral spectral variation for adding edge vw, by exact algebra.
 
-    With p, p' the characteristic polynomials before and after the addition
-    and delta = p' - p (never zero: traces differ by 2):
+    Adding vw turns L into L + uu^T, with u = e_v - e_w for an even edge and
+    u = e_v + e_w for an odd one, so by the matrix determinant lemma the
+    characteristic polynomials p before and p' after the addition differ by
+
+      delta = p' - p = -u^T adj(xI - L) u,
+
+    read off the adjugate matrices of g's Faddeev-LeVerrier pass (never zero:
+    its x^(n-1) coefficient is -u^T u = -2).  Then
 
       * one eigenvalue lam rises by 2  iff  x*delta + 2p == lam*delta, and
       * two eigenvalues rise by 1 with sum s and product rho  iff
-        (x-1)^2 p - s(x-1) p - x^2 p' + s x p' == rho*delta,
+        p*((s+1) - 2x) - delta*(x^2 - s*x) == rho*delta,
 
     where s is pinned to d1+d2+1 by the trace of the squared Laplacians.
     The type-1 test must run first: its success implies the type-2 identity
     also holds (with the eigenvalue pair (lam, lam+1)), never vice versa.
+    A positive verdict is re-checked by verify_shift_identity before it is
+    returned.  The cache, when given, receives g's own polynomial.
     """
     _check_parity(parity)
-    if v == w:
-        raise ValueError("v and w must be distinct")
-    if g.has_edge(v, w):
-        raise ValueError(f"vertices {v} and {w} are adjacent")
-    p = laplacian_char_poly(g, cache)
-    p_after = laplacian_char_poly(g.add_edge(v, w, parity), cache)
-    delta = p_after - p
-    x = IntPoly.x()
+    _check_pair(g, v, w)
+    p, delta = _addition_delta(g, v, w, parity)
+    if cache is not None:
+        cache[g] = p
+    pc = p.coeffs
 
-    lam = (x * delta + 2 * p).constant_multiple_of(delta)
+    # x*delta + 2p, on coefficient lists
+    lam = coefficient_ratio([d + 2 * c for d, c in zip([0] + delta, pc)], delta)
     if lam is not None:
-        verdict = SivVerdict(
-            TYPE1,
-            lam=lam,
-            certificate=(IntPoly((-lam, 1)), IntPoly((-lam - 2, 1))),
-        )
-        if not verify_shift_identity(p, p_after, verdict):
-            raise ArithmeticError("type-1 certificate failed to verify")
-        return verdict
+        certificate = (IntPoly((-lam, 1)), IntPoly((-lam - 2, 1)))
+        return _verified(p, delta, SivVerdict(TYPE1, lam=lam, certificate=certificate))
 
     s = g.degree(v) + g.degree(w) + 1
-    # (x-1)^2 - s(x-1) times p, minus (x^2 - sx) times p'
-    combo = p * IntPoly((s + 1, -s - 2, 1)) - p_after * IntPoly((0, -s, 1))
-    rho = combo.constant_multiple_of(delta)
+    # p*((s+1) - 2x) - delta*(x^2 - s*x), on coefficient lists
+    combo = [(s + 1) * c for c in pc] + [0]
+    for i, c in enumerate(pc):
+        combo[i + 1] -= 2 * c
+    for i, d in enumerate(delta):
+        combo[i + 1] += s * d
+        combo[i + 2] -= d
+    rho = coefficient_ratio(combo, delta)
     if rho is not None:
         q = IntPoly((rho, -s, 1))
-        verdict = SivVerdict(TYPE2, s=s, p=rho, certificate=(q, q.shifted(-1)))
-        if not verify_shift_identity(p, p_after, verdict):
-            raise ArithmeticError("type-2 certificate failed to verify")
-        return verdict
+        return _verified(p, delta, SivVerdict(TYPE2, s=s, p=rho, certificate=(q, q.shifted(-1))))
     return SivVerdict(NONE)
+
+
+def _verified(p: IntPoly, delta: list[int], verdict: SivVerdict) -> SivVerdict:
+    """Re-check a positive verdict against p' = p + delta as IntPoly objects."""
+    if not verify_shift_identity(p, p + IntPoly(tuple(delta)), verdict):
+        raise ArithmeticError(f"{verdict.kind} certificate failed to verify")
+    return verdict

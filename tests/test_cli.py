@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sivkit import EVEN, SignedComplete, SignedGraph, dumps_sg, dumps_sk
-from sivkit.cli import EXIT_OK, EXIT_USAGE, main
+import sivkit
+from sivkit import EVEN, SignedComplete, SignedGraph, SivVerdict, dumps_sg, dumps_sk
+from sivkit import completion, spectra
+from sivkit.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
 def write_sg(tmp_path, name, g):
@@ -154,6 +160,45 @@ class TestCompletableAndPlan:
         assert capsys.readouterr().out.strip() == "not completable"
 
 
+class TestInternalFailures:
+    """An internal invariant failure exits 2 with a one-line message."""
+
+    def test_failed_plan_step(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(completion, "siv_oracle", lambda *args: SivVerdict("none"))
+        t = SignedComplete.of(4, [(1, 2)])
+        gpath = write_sg(tmp_path, "g.sg", t.to_signed_graph().remove_edge(3, 4))
+        tpath = write_sk(tmp_path, "t.sk", t)
+        assert main(["plan", gpath, tpath]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: planned addition of (3, 4) is not an integral step\n"
+
+    def test_failed_certificate_recheck(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectra, "verify_shift_identity", lambda *args: False)
+        path = write_sg(tmp_path, "p3.sg", SignedGraph.all_even(3, [(1, 2), (2, 3)]))
+        assert main(["check-siv", path, "1", "3"]) == EXIT_VIOLATION
+        assert capsys.readouterr().err == "error: type1 certificate failed to verify\n"
+
+
+@pytest.mark.parametrize("module", ["sivkit", "sivkit.cli"])
+def test_python_m_runs_the_cli(module, k3_file, tmp_path):
+    src = str(Path(sivkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", module, *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    done = run("spectrum", k3_file)
+    assert (done.returncode, done.stdout) == (EXIT_OK, "x^3-6x^2+9x; spectrum 0,3,3\n")
+    done = run("spectrum", str(tmp_path / "missing.sg"))
+    assert done.returncode == EXIT_USAGE
+    assert (done.stdout, done.stderr[:7]) == ("", "error: ")
+
+
 class TestEnumerate:
     def test_exhaustive_n3(self, capsys):
         assert main(["enumerate", "--n-limit", "3", "--json"]) == EXIT_OK
@@ -168,6 +213,27 @@ class TestEnumerate:
         first = capsys.readouterr().out
         assert main(args) == EXIT_OK
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        ("n_limit", "samples", "seed", "instances", "type1", "type2", "none"),
+        [
+            (8, 8, 0, 246, 1, 0, 245),
+            (8, 8, 1, 204, 0, 0, 204),
+            (8, 8, 2, 230, 0, 0, 230),
+            (7, 60, 11, 1242, 11, 13, 1218),
+        ],
+    )
+    def test_sampled_json_is_pinned(
+        self, capsys, n_limit, samples, seed, instances, type1, type2, none
+    ):
+        args = ["enumerate", "--n-limit", str(n_limit), "--samples", str(samples),
+                "--seed", str(seed), "--json"]
+        assert main(args) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {
+            "n": n_limit, "mode": "samples", "samples": samples, "seed": seed,
+            "canonical": False, "graphs": samples, "instances": instances,
+            "type1": type1, "type2": type2, "none": none, "mismatches": 0,
+        }
 
     def test_canonical_reduces_graph_count(self, capsys):
         main(["enumerate", "--n-limit", "3", "--json"])

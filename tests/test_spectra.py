@@ -19,6 +19,7 @@ from sivkit import (
     verify_shift_identity,
 )
 from sivkit.enumeration import iter_signed_graphs
+from sivkit.spectra import _addition_delta, _laplacian_pass
 
 from conftest import (
     all_switch_sets,
@@ -244,6 +245,61 @@ class TestSivOracle:
                         assert _bumped_matches(evs, evs2, [(lo, 1.0), (hi, 1.0)])
                     else:
                         assert not _any_integral_shift(evs, evs2), (g, v, w, parity)
+
+
+def _additions(g):
+    for v, w in g.non_adjacent_pairs():
+        for parity in (EVEN, ODD):
+            yield v, w, parity
+
+
+def _derived_after(g, v, w, parity):
+    p, delta = _addition_delta(g, v, w, parity)
+    return p + IntPoly(tuple(delta))
+
+
+class TestDerivedAdditionPolynomials:
+    """The oracle takes p' from g's adjugate matrices by the matrix
+    determinant lemma; it must equal the polynomial of g + vw itself."""
+
+    def test_matches_direct_char_poly(self):
+        for n in range(2, 13):
+            for g in random_graphs(seed=100 + n, count=3, n=n, edge_prob=0.4):
+                for v, w, parity in _additions(g):
+                    after = signed_laplacian(g.add_edge(v, w, parity))
+                    assert _derived_after(g, v, w, parity) == char_poly(after), (g, v, w, parity)
+
+    def test_matches_permutation_expansion(self):
+        graphs = list(iter_signed_graphs(3))
+        graphs += list(random_graphs(seed=21, count=40, n=4))
+        graphs += list(random_graphs(seed=22, count=12, n=5))
+        for g in graphs:
+            for v, w, parity in _additions(g):
+                after = signed_laplacian(g.add_edge(v, w, parity))
+                assert _derived_after(g, v, w, parity) == leibniz_char_poly(after), (g, v, w, parity)
+
+    def test_alternating_graphs_match_fresh_calls(self):
+        # Two signings of one underlying graph: the same additions exist in
+        # both, and adding 2-3 gets type 1 in one and type 2 in the other, so
+        # an answer taken from the other graph's memo entry would show.
+        a = SignedGraph.of(4, [(1, 2, EVEN), (1, 3, EVEN)])
+        b = SignedGraph.of(4, [(1, 2, ODD), (1, 3, EVEN)])
+        additions = list(_additions(a))
+
+        def fresh(g, v, w, parity):
+            _laplacian_pass.cache_clear()
+            return siv_oracle(g, v, w, parity).params
+
+        want_a = [fresh(a, *add) for add in additions]
+        want_b = [fresh(b, *add) for add in additions]
+        assert want_a != want_b
+        assert {kind for kind, *_ in want_a + want_b} == {"type1", "type2", "none"}
+        for add, va, vb in zip(additions, want_a, want_b):
+            assert siv_oracle(a, *add).params == va
+            assert siv_oracle(b, *add).params == vb
+            assert siv_oracle(a, *add).params == va
+            assert laplacian_char_poly(b) == char_poly(signed_laplacian(b))
+            assert laplacian_char_poly(a) == char_poly(signed_laplacian(a))
 
 
 class TestVerifyShiftIdentity:
