@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import random
 import sys
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .completion import (
     y_set,
 )
 from .enumeration import iter_signed_graphs, random_signed_graph
-from .fileio import ParseError, load_sg, load_sk
+from .fileio import MAX_VERTICES, ParseError, load_sg, load_sk
 from .graphs import EVEN, ODD, switching_normal_form
 from .sivcheck import classify
 from .spectra import integer_spectrum, laplacian_char_poly, siv_oracle
@@ -59,6 +58,8 @@ class RunConfig:
                 )
         elif self.n_limit < 1:
             raise ValueError("n-limit must be at least 1")
+        elif self.n_limit > MAX_VERTICES:
+            raise ValueError(f"n-limit must be at most {MAX_VERTICES}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -189,6 +190,8 @@ def run_enumerate(cfg: RunConfig) -> int:
         graphs = list(graphs)
     graph_count = len(graphs)
     if cfg.workers > 1:
+        import multiprocessing  # on demand: about 1 MB that runs without a pool never use
+
         chunk = max(1, -(-graph_count // cfg.workers))
         batches = [graphs[i : i + chunk] for i in range(0, graph_count, chunk)]
         with multiprocessing.Pool(cfg.workers) as pool:

@@ -98,16 +98,52 @@ def char_poly(m: IntMatrix) -> IntPoly:
     return IntPoly(tuple(faddeev_leverrier(m)[0]))
 
 
-def _divisors(value: int) -> list[int]:
+def _iroot(value: int, k: int) -> int:
+    """floor(value ** (1/k)) for value >= 0, exactly.
+
+    The float guess only seeds integer Newton steps: from any positive start
+    the first step lands on or above the root (AM-GM), and the steps then
+    descend to it, so the result never depends on float rounding.
+    """
+    if value < 2 or k == 1:
+        return value
+    try:
+        r = int(value ** (1.0 / k)) + 1
+    except OverflowError:
+        r = 1 << -(-value.bit_length() // k)
+    r = ((k - 1) * r + value // r ** (k - 1)) // k
+    while True:
+        s = ((k - 1) * r + value // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _root_bound(coeffs: tuple[int, ...]) -> int:
+    """The floor B of Fujiwara's bound 2 * max_k |a_(d-k)|^(1/k) for the
+    monic polynomial with these ascending coefficients a_0..a_d.
+
+    Every complex root z has |z| <= 2 * max_k |a_(d-k)|^(1/k), so every
+    integer root r has |r| <= B.  Each term's floor is the integer k-th root
+    of 2^k |a_(d-k)|.
+    """
+    d = len(coeffs) - 1
+    return max(_iroot(abs(coeffs[d - k]) << k, k) for k in range(1, d + 1))
+
+
+def _divisors(value: int, limit: int) -> list[int]:
+    """The positive divisors of |value| that are at most limit, ascending,
+    in min(limit, sqrt|value|) trial divisions."""
     value = abs(value)
     small: list[int] = []
     large: list[int] = []
     i = 1
-    while i * i <= value:
+    while i * i <= value and i <= limit:
         if value % i == 0:
             small.append(i)
-            if i != value // i:
-                large.append(value // i)
+            j = value // i
+            if j != i and j <= limit:
+                large.append(j)
         i += 1
     return small + large[::-1]
 
@@ -139,7 +175,8 @@ def integer_spectrum(p: IntPoly) -> IntegerSpectrum:
         q = q.div_exact(x)
         roots.append(0)
     if q.degree > 0:
-        for d in _divisors(q.coeffs[0]):
+        # every integer root divides q(0) and lies within the root bound
+        for d in _divisors(q.coeffs[0], _root_bound(q.coeffs)):
             for r in (d, -d):
                 while q.degree > 0 and q(r) == 0:
                     q = q.div_exact(IntPoly((-r, 1)))

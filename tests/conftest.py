@@ -2,8 +2,9 @@
 
 The helpers here are deliberately independent of the library's algorithms:
 determinants come from fraction-free elimination, characteristic polynomials
-from the permanent-style permutation expansion, and switching equivalence
-from exhaustive search over all switching sets.
+from the permanent-style permutation expansion, integer roots from synthetic
+division at every integer of a given range, and switching equivalence from
+exhaustive search over all switching sets.
 """
 
 from __future__ import annotations
@@ -60,6 +61,25 @@ def leibniz_char_poly(m: IntMatrix) -> IntPoly:
                 prod = prod * (-m.entry(i, perm[i]))
         total = total + prod
     return total
+
+
+def trial_division_roots(coeffs: tuple[int, ...], radius: int) -> tuple[list[int], list[int]]:
+    """The integer roots in [-radius, radius], with multiplicity, of the monic
+    polynomial with these ascending coefficients, and the ascending cofactor
+    left after dividing them out; synthetic division at every candidate."""
+    q = list(coeffs)
+    roots = []
+    for r in range(-radius, radius + 1):
+        while len(q) > 1:
+            acc, out = 0, []
+            for c in reversed(q):
+                acc = acc * r + c
+                out.append(acc)
+            if out[-1]:  # the remainder q(r)
+                break
+            q = out[-2::-1]
+            roots.append(r)
+    return roots, q
 
 
 def all_switch_sets(n: int):

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import sivkit
-from sivkit import EVEN, SignedComplete, SignedGraph, SivVerdict, dumps_sg, dumps_sk
+from sivkit import EVEN, SignedComplete, SignedGraph, SivVerdict, dumps_sg, dumps_sk, switch_at
 from sivkit import completion, spectra
 from sivkit.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from sivkit.fileio import MAX_VERTICES
 
 
 def write_sg(tmp_path, name, g):
@@ -67,6 +68,12 @@ class TestSpectrum:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["spectrum", str(tmp_path / "nope.sg")]) == EXIT_USAGE
+
+    def test_switched_k16(self, tmp_path, capsys):
+        # p = x (x - 16)^15: dividing up to sqrt(16^15) would take 2^30 steps
+        path = write_sg(tmp_path, "k16.sg", switch_at(SignedGraph.complete(16), {1, 4, 5, 9, 16}))
+        assert main(["spectrum", path, "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["spectrum"] == [0] + [16] * 15
 
 
 class TestCheckSiv:
@@ -178,6 +185,35 @@ class TestInternalFailures:
         path = write_sg(tmp_path, "p3.sg", SignedGraph.all_even(3, [(1, 2), (2, 3)]))
         assert main(["check-siv", path, "1", "3"]) == EXIT_VIOLATION
         assert capsys.readouterr().err == "error: type1 certificate failed to verify\n"
+
+
+class TestVertexCap:
+    """Inputs and sampled sweeps above MAX_VERTICES are refused with exit 1."""
+
+    def test_spectrum_at_and_above_the_cap(self, tmp_path, capsys):
+        n = MAX_VERTICES
+        path = write_sg(tmp_path, "k.sg", SignedGraph.complete(n))
+        assert main(["spectrum", path, "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["spectrum"] == [0] + [n] * (n - 1)
+        path = write_sg(tmp_path, "big.sg", SignedGraph.complete(n + 1))
+        assert main(["spectrum", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 1: vertex count {n + 1} exceeds the limit of {n}\n"
+
+    def test_xy_at_and_above_the_cap(self, tmp_path, capsys):
+        assert main(["xy", write_sk(tmp_path, "t.sk", SignedComplete.of(MAX_VERTICES))]) == EXIT_OK
+        capsys.readouterr()
+        big = write_sk(tmp_path, "big.sk", SignedComplete.of(MAX_VERTICES + 1))
+        assert main(["xy", big]) == EXIT_USAGE
+        assert "line 1" in capsys.readouterr().err
+
+    def test_sampled_n_limit(self, capsys):
+        args = ["enumerate", "--samples", "1", "--json", "--n-limit"]
+        assert main(args + [str(MAX_VERTICES)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["mismatches"] == 0
+        assert main(args + [str(MAX_VERTICES + 1)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: n-limit must be at most {MAX_VERTICES}\n"
 
 
 @pytest.mark.parametrize("module", ["sivkit", "sivkit.cli"])

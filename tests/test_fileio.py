@@ -13,6 +13,7 @@ from sivkit import (
     parse_sg,
     parse_sk,
 )
+from sivkit.fileio import MAX_VERTICES
 
 
 SAMPLE_SG = """\
@@ -98,6 +99,17 @@ class TestParseSk:
     def test_roundtrip(self):
         t = SignedComplete.of(5, [(1, 2), (3, 5)])
         assert parse_sk(dumps_sk(t)) == t
+
+
+@pytest.mark.parametrize("parse", [parse_sg, parse_sk])
+class TestVertexCap:
+    def test_at_the_cap(self, parse):
+        assert parse(f"n {MAX_VERTICES}\n").n == MAX_VERTICES
+
+    def test_above_the_cap(self, parse):
+        with pytest.raises(ParseError) as info:
+            parse(f"# too large\nn {MAX_VERTICES + 1}\n")
+        assert info.value.line == 2
 
 
 class TestLoadFromDisk:

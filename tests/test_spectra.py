@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sivkit import (
@@ -19,7 +19,14 @@ from sivkit import (
     verify_shift_identity,
 )
 from sivkit.enumeration import iter_signed_graphs
-from sivkit.spectra import _addition_delta, _laplacian_pass
+from sivkit.spectra import (
+    IntegerSpectrum,
+    _addition_delta,
+    _divisors,
+    _iroot,
+    _laplacian_pass,
+    _root_bound,
+)
 
 from conftest import (
     all_switch_sets,
@@ -28,6 +35,7 @@ from conftest import (
     leibniz_char_poly,
     random_graphs,
     signed_graphs,
+    trial_division_roots,
 )
 
 
@@ -129,6 +137,56 @@ class TestIntegerSpectrum:
         spectrum = integer_spectrum(p)
         residual = spectrum.residual if spectrum.residual is not None else IntPoly.one()
         assert IntPoly.from_roots(spectrum.roots) * residual == p
+
+
+class TestBoundedRootSearch:
+    """integer_spectrum tries only divisors of q(0) within the root bound."""
+
+    @pytest.mark.parametrize(
+        ("p", "roots", "residual"),
+        [
+            # the root 10^6 is the cofactor of 1 and above sqrt(q(0)) = 1000
+            (IntPoly.from_roots([10**6, 1]), (1, 10**6), None),
+            (IntPoly.from_roots([10**6, 1]) * IntPoly.of(1, 1, 1), (1, 10**6), IntPoly.of(1, 1, 1)),
+            # bound 2*10^6: the cofactors of the divisors below 5*10^5 are not tried
+            (IntPoly.of(10**12, 0, 1), (), IntPoly.of(10**12, 0, 1)),
+        ],
+    )
+    def test_roots_beyond_and_within_the_cap(self, p, roots, residual):
+        assert integer_spectrum(p) == IntegerSpectrum(roots, residual)
+
+    @pytest.mark.parametrize("limit", [0, 1, 7, 30, 36, 100, 10**9])
+    @pytest.mark.parametrize("value", [1, 36, -36, 97, 720, 2**20])
+    def test_divisors_below_the_limit(self, value, limit):
+        expected = [d for d in range(1, min(abs(value), limit) + 1) if value % d == 0]
+        assert _divisors(value, limit) == expected
+
+    @given(st.integers(0, 2**1200), st.integers(1, 12))
+    @example(10**400 - 1, 3)  # beyond float range
+    def test_iroot_is_the_floor_root(self, value, k):
+        r = _iroot(value, k)
+        assert r**k <= value < (r + 1) ** k
+
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8))
+    def test_bound_is_the_floor_of_fujiwaras(self, coeffs):
+        coeffs = tuple(coeffs) + (1,)
+        bound = _root_bound(coeffs)
+        fujiwara = 2 * max(abs(coeffs[-1 - k]) ** (1 / k) for k in range(1, len(coeffs)))
+        assert bound <= fujiwara * (1 + 1e-12) < bound + 1
+        assert np.abs(np.roots(coeffs[::-1])).max() <= fujiwara * (1 + 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**4), 10**4), max_size=6),
+        st.sampled_from([IntPoly.one(), IntPoly.of(1, 1, 1), IntPoly.of(-2, 0, 1),
+                         IntPoly.of(-2, 0, 0, 1)]),
+    )
+    def test_matches_trial_division(self, planted, tail):
+        p = IntPoly.from_roots(planted) * tail
+        # tail has no integer root, so every integer root is planted in +-10^4
+        roots, cofactor = trial_division_roots(p.coeffs, 10**4)
+        residual = None if cofactor == [1] else IntPoly(tuple(cofactor))
+        assert integer_spectrum(p) == IntegerSpectrum(tuple(roots), residual)
 
 
 def _bumped_matches(evs, evs2, bumps, atol=1e-9) -> bool:
