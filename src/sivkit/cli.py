@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .completion import (
     is_sigma_completable,
@@ -60,6 +62,8 @@ class RunConfig:
             raise ValueError("n-limit must be at least 1")
         elif self.n_limit > MAX_VERTICES:
             raise ValueError(f"n-limit must be at most {MAX_VERTICES}")
+        if self.samples < 0:
+            raise ValueError("samples must be at least 0")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -189,12 +193,15 @@ def run_enumerate(cfg: RunConfig) -> int:
     else:
         graphs = list(graphs)
     graph_count = len(graphs)
-    if cfg.workers > 1:
+    # more processes than batches or cores would only idle; the tally does not
+    # depend on how the graphs are batched
+    workers = min(cfg.workers, graph_count, os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing  # on demand: about 1 MB that runs without a pool never use
 
-        chunk = max(1, -(-graph_count // cfg.workers))
+        chunk = -(-graph_count // workers)
         batches = [graphs[i : i + chunk] for i in range(0, graph_count, chunk)]
-        with multiprocessing.Pool(cfg.workers) as pool:
+        with multiprocessing.Pool(len(batches)) as pool:
             tally = _merge_tallies(pool.map(_tally_graphs, batches))
     else:
         tally = _tally_graphs(graphs)
@@ -235,8 +242,20 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1, the code for usage errors, on a bad command line; argparse
+    itself would exit 2, the code for a violated property.  Subparsers are
+    built from the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The `sivkit` parser, built on first use and shared by later `main` calls."""
+    parser = _Parser(
         prog="sivkit",
         description="Exact spectral toolkit for signed graphs: integral "
         "variation checks and completion planning.",

@@ -18,13 +18,17 @@ from .graphs import (
     SignedGraph,
     _check_pair,
     _check_parity,
-    edge_quantities,
     is_centered,
-    make_centered,
     neighborhood_split,
-    switch_at,
 )
 from .spectra import NONE, TYPE1, TYPE2, SivVerdict
+
+
+def _same_signed_neighbors(av: dict[int, bool], aw: dict[int, bool], flipped: bool) -> bool:
+    """Equal adjacency dicts, or (flipped) equal keys with every parity swapped."""
+    if not flipped:
+        return av == aw
+    return av.keys() == aw.keys() and all(aw[x] != odd for x, odd in av.items())
 
 
 def check_type1(g: SignedGraph, v: int, w: int, parity: str) -> bool:
@@ -32,26 +36,7 @@ def check_type1(g: SignedGraph, v: int, w: int, parity: str) -> bool:
     parity) signed neighborhoods of v and w."""
     _check_parity(parity)
     _check_pair(g, v, w)
-    ov, ev = g.odd_neighbors(v), g.even_neighbors(v)
-    ow, ew = g.odd_neighbors(w), g.even_neighbors(w)
-    if parity == EVEN:
-        return ov == ow and ev == ew
-    return ov == ew and ev == ow
-
-
-def _row_combination(g: SignedGraph, u: int, split: NeighborhoodSplit) -> int:
-    """Laplacian row sum of u over block A minus block B plus twice block D."""
-    adj = g.adjacency(u)
-    total = 0
-    for block, weight in ((split.A, 1), (split.B, -1), (split.D, 2)):
-        part = 0
-        for x in block:
-            if x == u:
-                part += len(adj)
-            elif x in adj:
-                part += 1 if adj[x] else -1
-        total += weight * part
-    return total
+    return _same_signed_neighbors(g.adjacency(v), g.adjacency(w), parity != EVEN)
 
 
 def check_type2(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
@@ -60,34 +45,65 @@ def check_type2(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     Evaluates the five block conditions vertex by vertex as integer
     equalities on signed neighbor counts (empty blocks pass vacuously), plus
     the positivity a+b+4d > 0 without which the shift degenerates to the
-    single-eigenvalue kind.  An odd addition reduces to an even one on the
-    graph switched at (N(w) - N(v)) + {w}.
+    single-eigenvalue kind.
+
+    The centered form is never built.  Switching at (N(w) - N(v)) + {w}
+    (odd addition, pi = 1) and then centering is a single switching, whose
+    side is 0 at v, pi at w, the v-edge parity on N(v), the w-edge parity
+    xor pi on N(w) - N(v) and 0 elsewhere; the centered parity of an edge ux
+    is its parity xor side(u) xor side(x).  Row combinations weigh block A
+    by 1, B by -1, D by 2 and the rest by 0.
     """
     _check_parity(parity)
     _check_pair(g, v, w)
-    if parity != EVEN:
-        switched = switch_at(g, (g.neighbors(w) - g.neighbors(v)) | {w})
-        return check_type2(switched, v, w, EVEN)
-    centered, _ = make_centered(g, v, w)
-    split = neighborhood_split(centered, v, w)
-    q = edge_quantities(centered, v, w)
-    d1, d2 = q.d1, q.d2
-    targets = {
-        "A": d2 + 1,
-        "B": -(d1 + 1),
-        "C": d2 - d1,
-        "D": d1 + d2 + 2,
-        "E": 0,
-    }
-    conditions: list[tuple[str, bool]] = []
-    for name, block in split.blocks():
-        conditions.append(
-            (name, all(_row_combination(centered, u, split) == targets[name] for u in block))
-        )
-    conditions.append(("positivity", q.a + q.b + 4 * q.d > 0))
-    diag = tuple(conditions)
-    if all(ok for _, ok in conditions):
-        return SivVerdict(TYPE2, s=d1 + d2 + 1, p=d1 * d2 + q.t, conditions=diag)
+    pi = parity != EVEN
+    av, aw = g.adjacency(v), g.adjacency(w)
+    side = [False] * (g.n + 1)
+    weight = [0] * (g.n + 1)
+    side[w] = pi
+    a_block, b_block, c_block, d_block = [], [], [], []
+    for x, odd in av.items():
+        side[x] = odd
+        if x not in aw:
+            a_block.append(x)
+            weight[x] = 1
+        elif odd ^ aw[x] ^ pi:
+            d_block.append(x)
+            weight[x] = 2
+        else:
+            c_block.append(x)
+    for x, odd in aw.items():
+        if x not in av:
+            side[x] = odd ^ pi
+            b_block.append(x)
+            weight[x] = -1
+    e_block = [u for u in g.vertices if u != v and u != w and u not in av and u not in aw]
+    d1, d2 = len(av), len(aw)
+
+    def rows_equal(block: list[int], target: int) -> bool:
+        for u in block:
+            adj = g.adjacency(u)
+            su = side[u]
+            total = weight[u] * len(adj)
+            for x, odd in adj.items():
+                wx = weight[x]
+                if wx:
+                    total += wx if odd ^ su ^ side[x] else -wx
+            if total != target:
+                return False
+        return True
+
+    diag = (
+        ("A", rows_equal(a_block, d2 + 1)),
+        ("B", rows_equal(b_block, -(d1 + 1))),
+        ("C", rows_equal(c_block, d2 - d1)),
+        ("D", rows_equal(d_block, d1 + d2 + 2)),
+        ("E", rows_equal(e_block, 0)),
+        ("positivity", len(a_block) + len(b_block) + 4 * len(d_block) > 0),
+    )
+    if all(ok for _, ok in diag):
+        p = d1 * d2 + len(c_block) - len(d_block)
+        return SivVerdict(TYPE2, s=d1 + d2 + 1, p=p, conditions=diag)
     return SivVerdict(NONE, conditions=diag)
 
 
@@ -96,8 +112,9 @@ def classify(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     common degree of v and w."""
     _check_parity(parity)
     _check_pair(g, v, w)
-    if check_type1(g, v, w, parity):
-        return SivVerdict(TYPE1, lam=g.degree(v))
+    av = g.adjacency(v)
+    if _same_signed_neighbors(av, g.adjacency(w), parity != EVEN):
+        return SivVerdict(TYPE1, lam=len(av))
     return check_type2(g, v, w, parity)
 
 

@@ -3,8 +3,9 @@
 The helpers here are deliberately independent of the library's algorithms:
 determinants come from fraction-free elimination, characteristic polynomials
 from the permanent-style permutation expansion, integer roots from synthetic
-division at every integer of a given range, and switching equivalence from
-exhaustive search over all switching sets.
+division at every integer of a given range, switching equivalence from
+exhaustive search over all switching sets, and the integral-variation
+conditions from switched copies of the graph in centered form.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from sivkit import EVEN, ODD, IntMatrix, IntPoly, SignedGraph
+from sivkit import EVEN, ODD, IntMatrix, IntPoly, SignedGraph, SivVerdict
 
 MAX_SEARCH_EXAMPLES = 120
 
@@ -80,6 +81,56 @@ def trial_division_roots(coeffs: tuple[int, ...], radius: int) -> tuple[list[int
             q = out[-2::-1]
             roots.append(r)
     return roots, q
+
+
+def neighbor_set_type1(g: SignedGraph, v: int, w: int, parity: str) -> bool:
+    """Equal odd and even neighbor sets of v and w, or swapped ones for an odd
+    addition."""
+    ov, ev = g.odd_neighbors(v), g.even_neighbors(v)
+    ow, ew = g.odd_neighbors(w), g.even_neighbors(w)
+    if parity == EVEN:
+        return ov == ow and ev == ew
+    return ov == ew and ev == ow
+
+
+def centered_form_type2(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
+    """The type-2 verdict, conditions included, evaluated on materialized
+    switched graphs: an odd addition becomes an even one on g switched at
+    (N(w) - N(v)) + {w}, which is then switched to (v,w)-centered form and
+    split into blocks; each vertex's Laplacian row is summed over A minus B
+    plus twice D."""
+    from sivkit import edge_quantities, make_centered, neighborhood_split, switch_at
+
+    if parity != EVEN:
+        g = switch_at(g, (g.neighbors(w) - g.neighbors(v)) | {w})
+    centered, _ = make_centered(g, v, w)
+    split = neighborhood_split(centered, v, w)
+    q = edge_quantities(centered, v, w)
+
+    def row_combination(u: int) -> int:
+        total = 0
+        for block, weight in ((split.A, 1), (split.B, -1), (split.D, 2)):
+            for x in block:
+                if x == u:
+                    total += weight * centered.degree(u)
+                elif centered.has_edge(u, x):
+                    total += weight if centered.is_odd_edge(u, x) else -weight
+        return total
+
+    targets = {
+        "A": q.d2 + 1,
+        "B": -(q.d1 + 1),
+        "C": q.d2 - q.d1,
+        "D": q.d1 + q.d2 + 2,
+        "E": 0,
+    }
+    conditions = tuple(
+        (name, all(row_combination(u) == targets[name] for u in block))
+        for name, block in split.blocks()
+    ) + (("positivity", q.a + q.b + 4 * q.d > 0),)
+    if all(ok for _, ok in conditions):
+        return SivVerdict("type2", s=q.d1 + q.d2 + 1, p=q.d1 * q.d2 + q.t, conditions=conditions)
+    return SivVerdict("none", conditions=conditions)
 
 
 def all_switch_sets(n: int):

@@ -216,6 +216,34 @@ class TestVertexCap:
         assert capsys.readouterr().err == f"error: n-limit must be at most {MAX_VERTICES}\n"
 
 
+class TestUsageErrors:
+    """Argument errors exit 1 with the usage on stderr; --help still exits 0."""
+
+    def test_bad_int(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "--n-limit", "abc"])
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: sivkit enumerate")
+        assert "error: argument --n-limit: invalid int value: 'abc'" in captured.err
+
+    def test_missing_positional(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum"])
+        assert info.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sivkit spectrum")
+        assert "the following arguments are required: graph" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: sivkit")
+
+
 @pytest.mark.parametrize("module", ["sivkit", "sivkit.cli"])
 def test_python_m_runs_the_cli(module, k3_file, tmp_path):
     src = str(Path(sivkit.__file__).resolve().parents[1])
@@ -290,6 +318,48 @@ class TestEnumerate:
         assert main(["enumerate", "--n-limit", "3", "--json"]) == EXIT_OK
         sequential = capsys.readouterr().out
         assert main(["enumerate", "--n-limit", "3", "--workers", "2", "--json"]) == EXIT_OK
+        assert capsys.readouterr().out == sequential
+
+    def test_negative_samples_refused(self, capsys):
+        assert main(["enumerate", "--n-limit", "4", "--samples", "-3", "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: samples must be at least 0\n"
+
+    @pytest.mark.parametrize(
+        ("argv", "cores", "pool_size"),
+        [
+            (["--n-limit", "3", "--workers", "1000"], 4, 4),  # bounded by the cores
+            (["--n-limit", "3", "--workers", "3"], 64, 3),  # by the workers asked for
+            (["--n-limit", "5", "--samples", "2", "--workers", "8"], 64, 2),  # by the graphs
+            (["--n-limit", "3", "--workers", "4"], 1, None),  # one core: no pool at all
+        ],
+    )
+    def test_pool_size_is_bounded(self, argv, cores, pool_size, capsys, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, batches):
+                assert len(batches) <= sizes[-1]
+                return [func(batch) for batch in batches]
+
+        assert main(["enumerate", "--json", *argv[:-2]]) == EXIT_OK
+        sequential = capsys.readouterr().out
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert main(["enumerate", "--json", *argv]) == EXIT_OK
+        assert sizes == ([pool_size] if pool_size else [])
         assert capsys.readouterr().out == sequential
 
     def test_exhaustive_limit_guard(self, capsys):

@@ -17,7 +17,12 @@ from sivkit import (
 )
 from sivkit.enumeration import iter_signed_graphs
 
-from conftest import graphs_with_nonadjacent_pair, random_graphs
+from conftest import (
+    centered_form_type2,
+    graphs_with_nonadjacent_pair,
+    neighbor_set_type1,
+    random_graphs,
+)
 
 
 def p3_leaves():
@@ -241,3 +246,30 @@ class TestOracleEquivalenceSampled:
                     classify(g, v, w, parity).params
                     == siv_oracle(g, v, w, parity, cache).params
                 )
+
+
+class TestOnePassAgainstCenteredForm:
+    """The one-pass classifier against the reference built from switched
+    copies of the graph: same verdicts, conditions included."""
+
+    @staticmethod
+    def assert_matches(g, v, w, parity):
+        assert check_type2(g, v, w, parity) == centered_form_type2(g, v, w, parity)
+        assert check_type1(g, v, w, parity) == neighbor_set_type1(g, v, w, parity)
+
+    def test_every_instance_up_to_four_vertices(self):
+        checked = 0
+        for n in range(2, 5):
+            for g in iter_signed_graphs(n):
+                for v, w in g.non_adjacent_pairs():
+                    for parity in (EVEN, ODD):
+                        self.assert_matches(g, v, w, parity)
+                        checked += 1
+        assert checked == 2 + 54 + 2916
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_seeded_random_graphs(self, n):
+        for g in random_graphs(seed=500 + n, count=12, n=n):
+            for v, w in g.non_adjacent_pairs():
+                for parity in (EVEN, ODD):
+                    self.assert_matches(g, v, w, parity)
