@@ -18,7 +18,6 @@ from .polynomials import IntPoly
 from .spectra import (
     NONE,
     IntMatrix,
-    PolyCache,
     SivVerdict,
     char_poly,
     signed_laplacian,
@@ -379,15 +378,13 @@ class CompletionPlan:
         return g
 
 
-def plan_completion(
-    g: SignedGraph, target: SignedComplete, cache: PolyCache | None = None
-) -> CompletionPlan:
+def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
     """Build a certified addition sequence from g to the target.
 
     The balanced all-odd edge (when missing) goes first; the remaining
     missing edges are all-even-triangle edges and are added greedily, each
     chosen so the completability predicate stays true.  Every step carries
-    its own oracle certificate.
+    its own verified oracle verdict.
     """
     if not is_sigma_completable(g, target):
         raise ValueError("graph is not integrally completable toward the target")
@@ -405,7 +402,7 @@ def plan_completion(
     def commit(e: Edge) -> None:
         nonlocal current
         parity = target.parity(*e)
-        verdict = siv_oracle(current, *e, parity, cache)
+        verdict = siv_oracle(current, *e, parity)
         if verdict.kind == NONE:
             raise RuntimeError(f"planned addition of {e} is not an integral step")
         steps.append(PlanStep(e, parity, verdict))
@@ -430,7 +427,6 @@ def plan_completion(
 def brute_force_completable(
     g: SignedGraph,
     target: SignedComplete,
-    cache: PolyCache | None = None,
     memo: dict[frozenset[Edge], bool] | None = None,
 ) -> bool:
     """Independent search oracle for completability: depth-first over edge
@@ -461,7 +457,7 @@ def brute_force_completable(
         steps = [
             e
             for e in sorted(full - edges)
-            if siv_oracle(state, *e, ODD if e in odd else EVEN, cache).kind != NONE
+            if siv_oracle(state, *e, ODD if e in odd else EVEN).kind != NONE
         ]
         result = any(reach(edges | {e}) for e in steps)
         memo[edges] = result

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import MutableMapping
 
 from .graphs import ODD, SignedGraph, _check_pair, _check_parity
 from .polynomials import IntPoly, coefficient_ratio
@@ -193,8 +192,7 @@ class SivVerdict:
     """Outcome of an integral-variation decision.
 
     kind "type1": one eigenvalue lam rises by 2.  kind "type2": two
-    eigenvalues summing to s with product p each rise by 1.  The certificate
-    holds the factor polynomials of the verified shift identity; conditions
+    eigenvalues summing to s with product p each rise by 1.  conditions
     carries per-block diagnostics when produced by the combinatorial check.
     """
 
@@ -202,7 +200,6 @@ class SivVerdict:
     lam: int | None = None
     s: int | None = None
     p: int | None = None
-    certificate: tuple[IntPoly, ...] | None = None
     conditions: tuple[tuple[str, bool], ...] | None = None
 
     @property
@@ -222,9 +219,6 @@ class SivVerdict:
         return out
 
 
-PolyCache = MutableMapping[SignedGraph, IntPoly]
-
-
 @lru_cache(maxsize=1)
 def _laplacian_pass(g: SignedGraph) -> tuple[IntPoly, list[list[list[int]]]]:
     """p = det(xI - L) and the adjugate matrices B_k of the last graph asked
@@ -235,16 +229,10 @@ def _laplacian_pass(g: SignedGraph) -> tuple[IntPoly, list[list[list[int]]]]:
     return IntPoly(tuple(coeffs)), adjugate
 
 
-def laplacian_char_poly(g: SignedGraph, cache: PolyCache | None = None) -> IntPoly:
-    """char_poly(signed_laplacian(g)), optionally memoized by graph; the pass
-    itself is shared with siv_oracle through their one-graph memo."""
-    if cache is None:
-        return _laplacian_pass(g)[0]
-    poly = cache.get(g)
-    if poly is None:
-        poly = _laplacian_pass(g)[0]
-        cache[g] = poly
-    return poly
+def laplacian_char_poly(g: SignedGraph) -> IntPoly:
+    """char_poly(signed_laplacian(g)); the pass is shared with siv_oracle
+    through their one-graph memo."""
+    return _laplacian_pass(g)[0]
 
 
 def verify_shift_identity(p: IntPoly, p_after: IntPoly, verdict: SivVerdict) -> bool:
@@ -276,13 +264,7 @@ def _addition_delta(g: SignedGraph, v: int, w: int, parity: str) -> tuple[IntPol
     return p, [-(b[vi][vi] + b[wi][wi] + cross * b[vi][wi]) for b in reversed(adjugate)]
 
 
-def siv_oracle(
-    g: SignedGraph,
-    v: int,
-    w: int,
-    parity: str,
-    cache: PolyCache | None = None,
-) -> SivVerdict:
+def siv_oracle(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     """Decide integral spectral variation for adding edge vw, by exact algebra.
 
     Adding vw turns L into L + uu^T, with u = e_v - e_w for an even edge and
@@ -302,20 +284,17 @@ def siv_oracle(
     The type-1 test must run first: its success implies the type-2 identity
     also holds (with the eigenvalue pair (lam, lam+1)), never vice versa.
     A positive verdict is re-checked by verify_shift_identity before it is
-    returned.  The cache, when given, receives g's own polynomial.
+    returned.
     """
     _check_parity(parity)
     _check_pair(g, v, w)
     p, delta = _addition_delta(g, v, w, parity)
-    if cache is not None:
-        cache[g] = p
     pc = p.coeffs
 
     # x*delta + 2p, on coefficient lists
     lam = coefficient_ratio([d + 2 * c for d, c in zip([0] + delta, pc)], delta)
     if lam is not None:
-        certificate = (IntPoly((-lam, 1)), IntPoly((-lam - 2, 1)))
-        return _verified(p, delta, SivVerdict(TYPE1, lam=lam, certificate=certificate))
+        return _verified(p, delta, SivVerdict(TYPE1, lam=lam))
 
     s = g.degree(v) + g.degree(w) + 1
     # p*((s+1) - 2x) - delta*(x^2 - s*x), on coefficient lists
@@ -327,8 +306,7 @@ def siv_oracle(
         combo[i + 2] -= d
     rho = coefficient_ratio(combo, delta)
     if rho is not None:
-        q = IntPoly((rho, -s, 1))
-        return _verified(p, delta, SivVerdict(TYPE2, s=s, p=rho, certificate=(q, q.shifted(-1))))
+        return _verified(p, delta, SivVerdict(TYPE2, s=s, p=rho))
     return SivVerdict(NONE)
 
 

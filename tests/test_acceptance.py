@@ -2,7 +2,7 @@
 
 The expensive exhaustive sweep over all signed graphs on up to five vertices
 is shared: criterion 1 builds it, criteria 2-4 reuse its verdict tables and
-polynomial cache.  Run with `pytest -s tests/test_acceptance.py` to see the
+characteristic polynomials.  Run with `pytest -s tests/test_acceptance.py` to see the
 per-criterion report lines.
 """
 
@@ -89,7 +89,7 @@ class Survey:
     mismatches: list = field(default_factory=list)
     type2_instances: list = field(default_factory=list)
     verdict_tables: dict = field(default_factory=dict)
-    poly_cache: dict = field(default_factory=dict)
+    polys: dict = field(default_factory=dict)
 
 
 @pytest.fixture(scope="module")
@@ -100,13 +100,13 @@ def survey() -> Survey:
         for edges in iter_subsets(all_pairs(n)):
             slots = slots_for(n, edges)
             for g in iter_signings(n, edges):
-                laplacian_char_poly(g, out.poly_cache)
+                out.polys[g] = laplacian_char_poly(g)
                 flat: list[int] = []
                 for v, w in slots:
                     for parity in (EVEN, ODD):
                         out.exhaustive_instances += 1
                         verdict = classify(g, v, w, parity)
-                        oracle = siv_oracle(g, v, w, parity, out.poly_cache)
+                        oracle = siv_oracle(g, v, w, parity)
                         out.counts[verdict.kind] += 1
                         if verdict.params != oracle.params:
                             out.mismatches.append(
@@ -120,7 +120,6 @@ def survey() -> Survey:
                 table[g] = tuple(flat)
         out.verdict_tables[n] = table
     rng = random.Random(SEED)
-    rcache: dict = {}
     for n in (6, 7):
         for _ in range(RANDOM_GRAPHS_PER_ORDER):
             g = random_signed_graph(rng, n)
@@ -131,7 +130,7 @@ def survey() -> Survey:
             for parity in (EVEN, ODD):
                 out.random_instances += 1
                 verdict = classify(g, v, w, parity)
-                oracle = siv_oracle(g, v, w, parity, rcache)
+                oracle = siv_oracle(g, v, w, parity)
                 if verdict.params != oracle.params:
                     out.mismatches.append(
                         (g, v, w, parity, verdict.params, oracle.params)
@@ -207,11 +206,11 @@ def test_criterion_04_switching_invariance(survey):
         table = survey.verdict_tables[n]
         for g, verd in table.items():
             slots = slots_for(n, g.edges)
-            base_poly = survey.poly_cache[g]
+            base_poly = survey.polys[g]
             for u in g.vertices:
                 gs = switch_at(g, {u})
                 checked += 1
-                if survey.poly_cache[gs] != base_poly:
+                if survey.polys[gs] != base_poly:
                     poly_bad += 1
                 verd2 = table[gs]
                 for si, (v, w) in enumerate(slots):
@@ -232,7 +231,7 @@ def test_criterion_04_switching_invariance(survey):
         s = {v for v in g.vertices if rng.random() < 0.5}
         gs = switch_at(g, s)
         checked += 1
-        if survey.poly_cache[gs] != survey.poly_cache[g]:
+        if survey.polys[gs] != survey.polys[g]:
             poly_bad += 1
         verd, verd2 = survey.verdict_tables[5][g], survey.verdict_tables[5][gs]
         for si, (v, w) in enumerate(slots_for(5, g.edges)):
@@ -348,7 +347,6 @@ def test_criterion_06_substitution_spectrum():
 
 
 def test_criterion_07_balanced_edge_is_the_only_outside_shift():
-    cache: dict = {}
     checked = 0
     bad = 0
     rng = random.Random(SEED + 7)
@@ -373,7 +371,7 @@ def test_criterion_07_balanced_edge_is_the_only_outside_shift():
                     checked += 1
                     edges = full - x_sub - {vw}
                     g = SignedGraph(n, edges, t.odd & edges)
-                    verdict = siv_oracle(g, *vw, t.parity(*vw), cache)
+                    verdict = siv_oracle(g, *vw, t.parity(*vw))
                     if (verdict.kind != "none") != (vw in y):
                         bad += 1
     ok = bad == 0 and checked >= 1_000
@@ -390,7 +388,6 @@ class CompletabilityData:
     checked: int = 0
     disagreements: int = 0
     positives: list = field(default_factory=list)
-    cache: dict = field(default_factory=dict)
 
 
 @pytest.fixture(scope="module")
@@ -410,7 +407,7 @@ def completability() -> CompletabilityData:
             for g in instances:
                 data.checked += 1
                 thm = is_sigma_completable(g, t)
-                bf = brute_force_completable(g, t, data.cache, memo)
+                bf = brute_force_completable(g, t, memo)
                 if thm != bf:
                     data.disagreements += 1
                 elif thm:
@@ -427,7 +424,7 @@ def completability() -> CompletabilityData:
         g = SignedGraph(5, edges, odd)
         data.checked += 1
         thm = is_sigma_completable(g, t)
-        bf = brute_force_completable(g, t, data.cache)
+        bf = brute_force_completable(g, t)
         if thm != bf:
             data.disagreements += 1
         elif thm:
@@ -451,13 +448,13 @@ def test_criterion_09_planner_soundness(completability):
     bad = 0
     steps_total = 0
     for g, t in completability.positives:
-        plan = plan_completion(g, t, completability.cache)
+        plan = plan_completion(g, t)
         current = g
         sound = True
         for step in plan.steps:
-            before = laplacian_char_poly(current, completability.cache)
+            before = laplacian_char_poly(current)
             current = current.add_edge(*step.edge, step.parity)
-            after = laplacian_char_poly(current, completability.cache)
+            after = laplacian_char_poly(current)
             if not verify_shift_identity(before, after, step.verdict):
                 sound = False
             steps_total += 1

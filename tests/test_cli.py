@@ -1,13 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sivkit
-from sivkit import EVEN, SignedComplete, SignedGraph, SivVerdict, dumps_sg, dumps_sk, switch_at
+from sivkit import EVEN, ODD, SignedComplete, SignedGraph, SivVerdict, dumps_sg, dumps_sk, switch_at
 from sivkit import completion, spectra
 from sivkit.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from sivkit.fileio import MAX_VERTICES
@@ -187,6 +191,87 @@ class TestInternalFailures:
         assert capsys.readouterr().err == "error: type1 certificate failed to verify\n"
 
 
+_JUNK_LINE = st.one_of(
+    st.builds("e {} {} {}".format, st.integers(-1, 10), st.integers(-1, 10),
+              st.sampled_from(["+", "-", "*", ""])),
+    st.builds("odd {} {}".format, st.integers(-1, 10), st.integers(-1, 10)),
+    st.builds("n {}".format, st.integers(-1, 10)),
+    st.lists(st.sampled_from(["n", "e", "odd", "+", "-", "#", "x", "0", "1.5", "9" * 30]),
+             max_size=5).map(" ".join),
+)
+
+
+@st.composite
+def junked(draw, lines: list[str]) -> bytes:
+    """The file's lines with up to two of them replaced or inserted from a
+    token grammar, or raw bytes instead."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.binary(max_size=64))
+    lines = list(lines)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(lines)))
+        junk = draw(_JUNK_LINE)
+        if i < len(lines) and draw(st.booleans()):
+            lines[i] = junk
+        else:
+            lines.insert(i, junk)
+    return "\n".join(lines).encode()
+
+
+@st.composite
+def cli_case(draw) -> tuple[bytes, bytes, list[str]]:
+    """A `.sg` and a `.sk` file on at most 9 vertices, near-valid, and the
+    arguments of one command that reads them ({sg} and {sk} mark the paths).
+    The start's signs mostly agree with the target's, so some plans run."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    subsets = st.sets(st.sampled_from(pairs)) if pairs else st.just(set())
+    odd, edges = draw(subsets), draw(subsets)
+    flipped = {draw(st.sampled_from(pairs))} if pairs and draw(st.booleans()) else set()
+    sg = draw(junked([f"n {n}"] + [
+        f"e {u} {v} {'-' if ((u, v) in odd) != ((u, v) in flipped) else '+'}"
+        for u, v in sorted(edges)
+    ]))
+    sk = draw(junked([f"n {n}"] + [f"odd {u} {v}" for u, v in sorted(odd)]))
+    json_flag = ["--json"] if draw(st.booleans()) else []
+    command = draw(st.sampled_from(["spectrum", "check-siv", "xy", "decompose", "completable", "plan"]))
+    if command == "spectrum":
+        argv = ["spectrum", "{sg}", *json_flag]
+    elif command == "check-siv":
+        v, w = draw(st.integers(-1, 10)), draw(st.integers(-1, 10))
+        argv = ["check-siv", "{sg}", str(v), str(w), "--parity", draw(st.sampled_from([EVEN, ODD]))]
+    elif command in ("xy", "decompose"):
+        argv = [command, "{sk}", *json_flag]
+    elif command == "completable":
+        argv = ["completable", "{sg}", "{sk}", *json_flag]
+    else:
+        argv = ["plan", "{sg}", "{sk}"]
+    return sg, sk, argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=cli_case())
+def test_fuzzed_files_exit_0_or_1_with_a_message(fuzz_dir, case):
+    """Whatever the input files hold, a command finishes with exit 0, or with
+    exit 1 and a message on stderr; it never raises."""
+    sg, sk, argv = case
+    paths = {"sg": fuzz_dir / "g.sg", "sk": fuzz_dir / "t.sk"}
+    paths["sg"].write_bytes(sg)
+    paths["sk"].write_bytes(sk)
+    argv = [arg.format(**paths) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error: ")
+
+
 class TestVertexCap:
     """Inputs and sampled sweeps above MAX_VERTICES are refused with exit 1."""
 
@@ -363,7 +448,12 @@ class TestEnumerate:
         assert capsys.readouterr().out == sequential
 
     def test_exhaustive_limit_guard(self, capsys):
-        assert main(["enumerate", "--n-limit", "9"]) == EXIT_USAGE
+        # n = 6 alone is 3^15 graphs, too many to hold in memory
+        for n_limit in ("6", "7", "8", "9"):
+            assert main(["enumerate", "--n-limit", n_limit]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: exhaustive enumeration needs 1 <= n-limit <= 5\n"
         assert main(["enumerate", "--n-limit", "4", "--workers", "0"]) == EXIT_USAGE
 
     def test_human_summary(self, capsys):

@@ -426,9 +426,8 @@ class TestBruteForce:
 
     def test_agreement_sampled_k4(self):
         rng = random.Random(21)
-        cache: dict = {}
         for _ in range(60):
             t = random_signed_complete(rng, 4)
             edges = [e for e in all_pairs(4) if rng.random() < 0.6]
             g = SignedGraph(4, frozenset(edges), frozenset(t.odd & set(edges)))
-            assert brute_force_completable(g, t, cache) == is_sigma_completable(g, t)
+            assert brute_force_completable(g, t) == is_sigma_completable(g, t)

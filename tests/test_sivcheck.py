@@ -235,7 +235,6 @@ class TestOracleEquivalenceSampled:
         assert classify(g, v, w, parity).params == siv_oracle(g, v, w, parity).params
 
     def test_classify_matches_oracle_n6_sample(self):
-        cache = {}
         for g in random_graphs(seed=77, count=300, n=6):
             pairs = list(g.non_adjacent_pairs())
             if not pairs:
@@ -244,7 +243,7 @@ class TestOracleEquivalenceSampled:
             for parity in (EVEN, ODD):
                 assert (
                     classify(g, v, w, parity).params
-                    == siv_oracle(g, v, w, parity, cache).params
+                    == siv_oracle(g, v, w, parity).params
                 )
 
 

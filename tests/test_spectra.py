@@ -272,7 +272,6 @@ class TestSivOracle:
             p = laplacian_char_poly(g)
             p_after = laplacian_char_poly(g.add_edge(v, w, parity))
             assert verify_shift_identity(p, p_after, verdict)
-            assert verdict.certificate is not None
 
     def test_agrees_with_float_eigensolver(self):
         # test-only cross-check at the multiset level: the verdict names the
@@ -389,11 +388,10 @@ class TestVerifyShiftIdentity:
 
 class TestSwitchingInvarianceOfSpectra:
     def test_char_poly_fixed_under_all_switchings(self):
-        cache = {}
         for g in iter_signed_graphs(3):
-            p = laplacian_char_poly(g, cache)
+            p = laplacian_char_poly(g)
             for s in all_switch_sets(3):
-                assert laplacian_char_poly(switch_at(g, s), cache) == p
+                assert laplacian_char_poly(switch_at(g, s)) == p
 
     @given(signed_graphs(min_n=2, max_n=6), st.sets(st.integers(1, 6)))
     def test_random_switchings(self, g, s):
