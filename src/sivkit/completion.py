@@ -107,20 +107,17 @@ def y_set(t: SignedComplete) -> frozenset[Edge]:
     """Edges all of whose triangles are odd, with the one-more-odd balance at
     every third vertex.
 
-    The balance count is taken toward one endpoint; an edge qualifies when
-    either orientation does (given the all-odd condition the two orientations
-    agree, so the disjunction is a safe literal reading).
+    The balance is read toward v only: when every triangle on vw is odd, uvx
+    and uwx have the same parity, so u counts as many odd triangles with v as
+    with w.
     """
     _require_order_at_least_four(t)
     counts = _odd_triangle_pair_counts(t)
-    n = t.n
-    out = set()
-    for v, w in t.all_edges():
-        if counts[(v, w)] != n - 2:
-            continue
-        if _balanced_at(counts, n, v, w) or _balanced_at(counts, n, w, v):
-            out.add((v, w))
-    return frozenset(out)
+    return frozenset(
+        (v, w)
+        for v, w in t.all_edges()
+        if counts[(v, w)] == t.n - 2 and _balanced_at(counts, t.n, v, w)
+    )
 
 
 def swap_y(t: SignedComplete) -> SignedComplete:
@@ -310,17 +307,21 @@ def quotient_decomposition(t: SignedComplete) -> QuotientDecomposition:
 
 
 def is_plain_integrally_completable(n: int, edges: Iterable[Edge]) -> bool:
-    """No four vertices induce a path or a perfect matching on two edges."""
-    es = {edge(u, v) for u, v in edges}
-    for quad in combinations(range(1, n + 1), 4):
-        sub = [pair for pair in combinations(quad, 2) if pair in es]
-        if len(sub) == 2 and not set(sub[0]) & set(sub[1]):
-            return False
-        if len(sub) == 3:
-            degrees = sorted(sum(1 for e in sub if v in e) for v in quad)
-            if degrees == [1, 1, 2, 2]:
-                return False
-    return True
+    """No four vertices induce a path or a perfect matching on two edges.
+
+    Equivalently the complement M has no induced P4 or C4, which holds
+    exactly when the closed neighbourhoods of the two ends of every edge uv
+    of M are nested (Wolk 1962; Golumbic 1978): a neighbour x of u only and
+    a neighbour y of v only form the path x-u-v-y in M, or the 4-cycle when
+    xy is in M.
+    """
+    present = {edge(u, v) for u, v in edges}
+    closed = {v: {v} for v in range(1, n + 1)}
+    m = [e for e in combinations(range(1, n + 1), 2) if e not in present]
+    for u, v in m:
+        closed[u].add(v)
+        closed[v].add(u)
+    return all(closed[u] <= closed[v] or closed[v] <= closed[u] for u, v in m)
 
 
 def _sign_restriction_matches(g: SignedGraph, target: SignedComplete) -> bool:
@@ -388,14 +389,10 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
     """
     if not is_sigma_completable(g, target):
         raise ValueError("graph is not integrally completable toward the target")
-    missing = sorted(set(target.all_edges()) - g.edges)
-    if target.n >= 4:
-        y_first = sorted(set(missing) & y_set(target))
-        ordered_front = y_first
-        pool = sorted(set(missing) - set(y_first))
-    else:
-        ordered_front = missing
-        pool = []
+    all_pairs = set(target.all_edges())
+    missing = sorted(all_pairs - g.edges)
+    y_first = sorted(set(missing) & y_set(target)) if target.n >= 4 else []
+    pool = [e for e in missing if e not in y_first]
     steps: list[PlanStep] = []
     current = g
 
@@ -408,12 +405,15 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
         steps.append(PlanStep(e, parity, verdict))
         current = current.add_edge(*e, parity)
 
-    for e in ordered_front:
+    for e in y_first:
         commit(e)
+    # Every addition keeps the target's signs and leaves only all-even edges
+    # missing, so of the completability conditions only the plain one can
+    # change.  It passes every graph below four vertices: the order is sorted.
     while pool:
+        present = all_pairs - set(pool)
         for e in pool:
-            candidate = current.add_edge(*e, target.parity(*e))
-            if is_sigma_completable(candidate, target):
+            if is_plain_integrally_completable(target.n, present | {e}):
                 commit(e)
                 pool.remove(e)
                 break

@@ -14,7 +14,7 @@ from .graphs import Edge, SignedGraph, edge
 # The largest vertex count read from a file or sampled by the CLI.  At this
 # order every command finishes within about 10 s on the slowest inputs found
 # (`plan` from a clique plus isolated vertices toward an all-even target is
-# the binding one: 6.3 s at 18 vertices, 12.6 s at 20, on a 2-vCPU Xeon).
+# the binding one: 0.7 s at 18 vertices, 1.4 s at 20, on a 2-vCPU Xeon).
 MAX_VERTICES = 18
 
 

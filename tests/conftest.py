@@ -4,8 +4,9 @@ The helpers here are deliberately independent of the library's algorithms:
 determinants come from fraction-free elimination, characteristic polynomials
 from the permanent-style permutation expansion, integer roots from synthetic
 division at every integer of a given range, switching equivalence from
-exhaustive search over all switching sets, and the integral-variation
-conditions from switched copies of the graph in centered form.
+exhaustive search over all switching sets, the integral-variation
+conditions from switched copies of the graph in centered form, and plain
+completability from a scan of every 4-vertex subset.
 """
 
 from __future__ import annotations
@@ -131,6 +132,20 @@ def centered_form_type2(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdi
     if all(ok for _, ok in conditions):
         return SivVerdict("type2", s=q.d1 + q.d2 + 1, p=q.d1 * q.d2 + q.t, conditions=conditions)
     return SivVerdict("none", conditions=conditions)
+
+
+def four_subset_scan_completable(n: int, edges) -> bool:
+    """No four vertices induce a path or a perfect matching on two edges."""
+    es = {(min(u, v), max(u, v)) for u, v in edges}
+    for quad in combinations(range(1, n + 1), 4):
+        sub = [pair for pair in combinations(quad, 2) if pair in es]
+        if len(sub) == 2 and not set(sub[0]) & set(sub[1]):
+            return False
+        if len(sub) == 3:
+            degrees = sorted(sum(1 for e in sub if v in e) for v in quad)
+            if degrees == [1, 1, 2, 2]:
+                return False
+    return True
 
 
 def all_switch_sets(n: int):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -31,6 +33,8 @@ from sivkit.enumeration import (
     iter_signed_completes,
     random_signed_complete,
 )
+
+from conftest import four_subset_scan_completable
 
 
 def k7_balanced_instance() -> SignedComplete:
@@ -106,14 +110,19 @@ class TestYSet:
         from sivkit.completion import _balanced_at, _odd_triangle_pair_counts
 
         rng = random.Random(3)
-        for _ in range(300):
+        all_odd = balanced = 0
+        for _ in range(3000):
             t = random_signed_complete(rng, 7)
             counts = _odd_triangle_pair_counts(t)
             for v, w in t.all_edges():
                 if counts[(v, w)] == t.n - 2:
+                    all_odd += 1
+                    balanced += _balanced_at(counts, t.n, v, w)
                     assert _balanced_at(counts, t.n, v, w) == _balanced_at(
                         counts, t.n, w, v
                     )
+        # balanced edges are rare: the draws are sized to meet at least 20
+        assert (all_odd, balanced) == (1976, 27)
 
 
 class TestSwitchingInvarianceOfTriangleSets:
@@ -306,6 +315,19 @@ class TestPlainCompletable:
         edges = [(1, 2), (2, 3), (3, 4), (5, 6)]
         assert not is_plain_integrally_completable(6, edges)
 
+    def test_matches_four_subset_scan_exhaustively(self):
+        # every labelled graph on at most six vertices: 33,867 in all
+        graphs = completable = 0
+        for n in range(1, 7):
+            pairs = all_pairs(n)
+            for mask in range(1 << len(pairs)):
+                edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+                expected = four_subset_scan_completable(n, edges)
+                assert is_plain_integrally_completable(n, edges) == expected
+                graphs += 1
+                completable += expected
+        assert (graphs, completable) == (33867, 4606)
+
 
 class TestIsSigmaCompletable:
     def test_target_itself(self):
@@ -339,7 +361,80 @@ class TestIsSigmaCompletable:
             is_sigma_completable(SignedGraph.complete(3), SignedComplete.of(4))
 
 
+def part_target(rng: random.Random, n: int) -> SignedComplete:
+    """Signed K_n switched from a substituted quotient: vertices of one part
+    are joined evenly, so the parts' edges are all-even (X) edges."""
+    part = {v: rng.randrange(1 + n // 4) for v in range(1, n + 1)}
+    odd_parts = {e for e in combinations(sorted(set(part.values())), 2) if rng.random() < 0.5}
+    flipped = {v for v in range(1, n + 1) if rng.random() < 0.5}
+    odd = [
+        (u, v)
+        for u, v in all_pairs(n)
+        if ((min(part[u], part[v]), max(part[u], part[v])) in odd_parts)
+        ^ (u in flipped)
+        ^ (v in flipped)
+    ]
+    return SignedComplete.of(n, odd)
+
+
+def forest_closure(rng: random.Random, vertices) -> set[tuple[int, int]]:
+    """Edges from each vertex to all its ancestors in a random rooted forest.
+    These closures are exactly the {C4, P4}-free graphs, so a start missing
+    one inside each all-even component stays completable."""
+    order = list(vertices)
+    rng.shuffle(order)
+    ancestors: dict[int, list[int]] = {}
+    out = set()
+    for k, v in enumerate(order):
+        parent = order[rng.randrange(k)] if k and rng.random() < 0.8 else None
+        ancestors[v] = [] if parent is None else ancestors[parent] + [parent]
+        out.update((min(v, a), max(v, a)) for a in ancestors[v])
+    return out
+
+
+def pinned_plan_starts() -> list[tuple[SignedGraph, SignedComplete]]:
+    """Seeded completable (start, target) pairs on 2..10 vertices.
+
+    Below four vertices a start drops random edges.  From four on it drops a
+    forest closure inside each all-even component, and mostly the balanced
+    all-odd (Y) edge, of quotient targets and of targets that have a Y edge.
+    """
+    rng = random.Random("pinned-plans")
+    cases = []
+    for n in (2, 3):
+        for _ in range(10):
+            t = random_signed_complete(rng, n)
+            missing = [e for e in all_pairs(n) if rng.random() < 0.6]
+            cases.append((t.to_signed_graph().remove_edges(missing), t))
+    targets = [part_target(rng, n) for n in range(4, 11) for _ in range(12)]
+    t7 = k7_balanced_instance()
+    targets += [t7, t7]
+    while len(targets) < 100:
+        t = random_signed_complete(rng, rng.choice((5, 6, 7)))
+        if y_set(t):
+            targets.append(t)
+    for t in targets:
+        missing = set(y_set(t)) if rng.random() < 0.8 else set()
+        for part in quotient_decomposition(t).parts:
+            missing |= forest_closure(rng, part)
+        cases.append((t.to_signed_graph().remove_edges(sorted(missing)), t))
+    return cases
+
+
 class TestPlanCompletion:
+    # sha256 of the plans' JSON step lines, one "case <i>" line before each
+    PINNED_PLANS_SHA256 = "f0b813937dfc799fdb3b04dbbdd6a74e91e4ca103725294a19879cfaa094e989"
+
+    def test_plans_are_pinned(self):
+        cases = pinned_plan_starts()
+        assert len(cases) >= 100
+        lines = []
+        for i, (g, t) in enumerate(cases):
+            lines.append(f"case {i}")
+            lines += [json.dumps(s.to_json_dict()) for s in plan_completion(g, t).steps]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PINNED_PLANS_SHA256
+
     def test_empty_plan_for_target(self):
         t = SignedComplete.of(4, [(1, 2)])
         plan = plan_completion(t.to_signed_graph(), t)
