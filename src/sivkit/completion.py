@@ -10,6 +10,7 @@ grown back to the target one integral-variation edge at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -20,6 +21,8 @@ from .spectra import (
     IntMatrix,
     SivVerdict,
     char_poly,
+    laplacian_char_poly,
+    polynomial_after,
     signed_laplacian,
     siv_oracle,
 )
@@ -57,6 +60,12 @@ class SignedComplete:
     def to_signed_graph(self) -> SignedGraph:
         return SignedGraph.complete(self.n, self.odd)
 
+    @cached_property
+    def _pair_counts(self) -> dict[Edge, int]:
+        """Odd triangles through each vertex pair, counted once per target
+        for x_set and y_set; shared, so callers must not modify it."""
+        return _odd_triangle_pair_counts(self)
+
 
 def triangle_parity(t: SignedComplete | SignedGraph, u: int, v: int, w: int) -> str:
     """Parity of the number of odd edges among uv, uw, vw."""
@@ -92,8 +101,7 @@ def _odd_triangle_pair_counts(t: SignedComplete) -> dict[Edge, int]:
 def x_set(t: SignedComplete) -> frozenset[Edge]:
     """Edges all of whose triangles are even."""
     _require_order_at_least_four(t)
-    counts = _odd_triangle_pair_counts(t)
-    return frozenset(e for e, c in counts.items() if c == 0)
+    return frozenset(e for e, c in t._pair_counts.items() if c == 0)
 
 
 def _balanced_at(counts: dict[Edge, int], n: int, v: int, w: int) -> bool:
@@ -112,7 +120,7 @@ def y_set(t: SignedComplete) -> frozenset[Edge]:
     with w.
     """
     _require_order_at_least_four(t)
-    counts = _odd_triangle_pair_counts(t)
+    counts = t._pair_counts
     return frozenset(
         (v, w)
         for v, w in t.all_edges()
@@ -386,6 +394,10 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
     missing edges are all-even-triangle edges and are added greedily, each
     chosen so the completability predicate stays true.  Every step carries
     its own verified oracle verdict.
+
+    The Laplacian polynomial is carried from step to step by each verdict's
+    own identity, so the oracle reads each step from Krylov moments and runs
+    no Faddeev-LeVerrier pass; one pass on the final graph checks the chain.
     """
     if not is_sigma_completable(g, target):
         raise ValueError("graph is not integrally completable toward the target")
@@ -395,15 +407,17 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
     pool = [e for e in missing if e not in y_first]
     steps: list[PlanStep] = []
     current = g
+    p = laplacian_char_poly(g)
 
     def commit(e: Edge) -> None:
-        nonlocal current
+        nonlocal current, p
         parity = target.parity(*e)
-        verdict = siv_oracle(current, *e, parity)
+        verdict = siv_oracle(current, *e, parity, p)
         if verdict.kind == NONE:
             raise RuntimeError(f"planned addition of {e} is not an integral step")
         steps.append(PlanStep(e, parity, verdict))
         current = current.add_edge(*e, parity)
+        p = polynomial_after(p, verdict)
 
     for e in y_first:
         commit(e)
@@ -421,6 +435,8 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
             raise RuntimeError("no admissible edge addition found")
     if current != target.to_signed_graph():
         raise RuntimeError("plan did not reach the target")
+    if p != laplacian_char_poly(current):
+        raise RuntimeError("the polynomial carried through the plan is not the target's")
     return CompletionPlan(start=g, target=target, steps=tuple(steps))
 
 

@@ -184,6 +184,16 @@ class TestInternalFailures:
         assert captured.out == ""
         assert captured.err == "error: planned addition of (3, 4) is not an integral step\n"
 
+    def test_carried_polynomial_left_unmoved(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(completion, "polynomial_after", lambda p, verdict: p)
+        t = SignedComplete.of(4, [(1, 2)])
+        gpath = write_sg(tmp_path, "g.sg", t.to_signed_graph().remove_edge(3, 4))
+        tpath = write_sk(tmp_path, "t.sk", t)
+        assert main(["plan", gpath, tpath]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the polynomial carried through the plan is not the target's\n"
+
     def test_failed_certificate_recheck(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectra, "verify_shift_identity", lambda *args: False)
         path = write_sg(tmp_path, "p3.sg", SignedGraph.all_even(3, [(1, 2), (2, 3)]))

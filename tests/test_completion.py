@@ -28,11 +28,13 @@ from sivkit import (
     x_set,
     y_set,
 )
+from sivkit import completion
 from sivkit.enumeration import (
     all_pairs,
     iter_signed_completes,
     random_signed_complete,
 )
+from sivkit.spectra import polynomial_after
 
 from conftest import four_subset_scan_completable
 
@@ -434,6 +436,23 @@ class TestPlanCompletion:
             lines += [json.dumps(s.to_json_dict()) for s in plan_completion(g, t).steps]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.PINNED_PLANS_SHA256
+
+    def test_carried_polynomial_is_each_steps(self, monkeypatch):
+        carried = []
+
+        def recording(p, verdict):
+            carried.append(polynomial_after(p, verdict))
+            return carried[-1]
+
+        monkeypatch.setattr(completion, "polynomial_after", recording)
+        for g, t in pinned_plan_starts():
+            carried.clear()
+            plan = plan_completion(g, t)
+            assert len(carried) == len(plan.steps)
+            current = g
+            for step, p in zip(plan.steps, carried):
+                current = current.add_edge(*step.edge, step.parity)
+                assert p == laplacian_char_poly(current), (g, t, step)
 
     def test_empty_plan_for_target(self):
         t = SignedComplete.of(4, [(1, 2)])

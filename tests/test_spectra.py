@@ -26,7 +26,9 @@ from sivkit.spectra import (
     _iroot,
     _laplacian_pass,
     _root_bound,
+    polynomial_after,
 )
+from sivkit.fileio import MAX_VERTICES
 
 from conftest import (
     all_switch_sets,
@@ -335,6 +337,30 @@ class TestDerivedAdditionPolynomials:
                 after = signed_laplacian(g.add_edge(v, w, parity))
                 assert _derived_after(g, v, w, parity) == leibniz_char_poly(after), (g, v, w, parity)
 
+    def test_moments_match_the_pass(self):
+        # A caller that passes p gets delta from Krylov moments u^T L^i u
+        # instead of the adjugate diagonals: every addition of the seeded
+        # graphs, plus dense graphs at the vertex cap.
+        graphs = [g for n in range(2, 13) for g in random_graphs(seed=100 + n, count=3, n=n, edge_prob=0.4)]
+        graphs += list(random_graphs(seed=31, count=2, n=MAX_VERTICES, edge_prob=0.95))
+        for g in graphs:
+            p = laplacian_char_poly(g)
+            additions = list(_additions(g))
+            for i, (v, w, parity) in enumerate(additions):
+                by_pass = _addition_delta(g, v, w, parity)
+                assert _addition_delta(g, v, w, parity, p) == by_pass, (g, v, w, parity)
+                assert siv_oracle(g, v, w, parity, p).params == siv_oracle(g, v, w, parity).params
+                if g.n < MAX_VERTICES or i == 0:
+                    after = char_poly(signed_laplacian(g.add_edge(v, w, parity)))
+                    assert after - p == IntPoly(tuple(by_pass[1])), (g, v, w, parity)
+
+    def test_polynomial_of_wrong_degree_refused(self):
+        g = SignedGraph.all_even(4, [(1, 2), (2, 3)])
+        p = laplacian_char_poly(g)
+        for wrong in (p * IntPoly.x(), laplacian_char_poly(SignedGraph.all_even(3, [(1, 2)]))):
+            with pytest.raises(ValueError):
+                siv_oracle(g, 3, 4, EVEN, wrong)
+
     def test_alternating_graphs_match_fresh_calls(self):
         # Two signings of one underlying graph: the same additions exist in
         # both, and adding 2-3 gets type 1 in one and type 2 in the other, so
@@ -374,6 +400,12 @@ class TestVerifyShiftIdentity:
         p = IntPoly.of(0, 3, -4, 1)
         assert not verify_shift_identity(p, p, SivVerdict("type1", lam=1))
         assert not verify_shift_identity(p, p, SivVerdict("type2", s=2, p=0))
+
+    def test_polynomial_after_solves_the_identity(self):
+        assert polynomial_after(IntPoly.of(0, 3, -4, 1), SivVerdict("type1", lam=1)) == IntPoly.of(0, 9, -6, 1)
+        assert polynomial_after(IntPoly.of(0, 0, -2, 1), SivVerdict("type2", s=2, p=0)) == IntPoly.of(0, 3, -4, 1)
+        with pytest.raises(ValueError):
+            polynomial_after(IntPoly.x(), SivVerdict("none"))
 
     def test_none_verdict_rejected(self):
         with pytest.raises(ValueError):
