@@ -28,7 +28,7 @@ from .enumeration import iter_signed_graphs, random_signed_graph
 from .fileio import MAX_VERTICES, load_sg, load_sk
 from .graphs import EVEN, ODD, switching_normal_form
 from .sivcheck import classify
-from .spectra import integer_spectrum, laplacian_char_poly, siv_oracle
+from .spectra import integer_spectrum, laplacian_char_poly, laplacian_pass, siv_oracle
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,14 +123,19 @@ def run_plan(args: argparse.Namespace) -> int:
 
 
 def _tally_graphs(graphs) -> Counter:
-    """Classify every edge addition of every graph against the oracle."""
+    """Classify every edge addition of every graph against the oracle, on
+    one Faddeev-LeVerrier pass per graph that has an addition."""
     tally: Counter = Counter()
     for g in graphs:
-        for v, w in g.non_adjacent_pairs():
+        pairs = list(g.non_adjacent_pairs())
+        if not pairs:
+            continue
+        p, adjugate = laplacian_pass(g)
+        for v, w in pairs:
             for parity in (EVEN, ODD):
                 tally["instances"] += 1
                 verdict = classify(g, v, w, parity)
-                oracle = siv_oracle(g, v, w, parity)
+                oracle = siv_oracle(g, v, w, parity, p, adjugate)
                 tally[verdict.kind] += 1
                 if verdict.params != oracle.params:
                     tally["mismatches"] += 1

@@ -22,6 +22,7 @@ from .spectra import (
     SivVerdict,
     char_poly,
     laplacian_char_poly,
+    laplacian_pass,
     polynomial_after,
     signed_laplacian,
     siv_oracle,
@@ -380,12 +381,6 @@ class CompletionPlan:
     target: SignedComplete
     steps: tuple[PlanStep, ...]
 
-    def final_graph(self) -> SignedGraph:
-        g = self.start
-        for step in self.steps:
-            g = g.add_edge(*step.edge, step.parity)
-        return g
-
 
 def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
     """Build a certified addition sequence from g to the target.
@@ -468,12 +463,11 @@ def brute_force_completable(
         if known is not None:
             return known
         state = SignedGraph(n, edges, odd & edges)
-        # Every verdict on this state is taken before recursing, while the
-        # oracle's one-graph memo still holds the state's polynomial pass.
+        state_pass = laplacian_pass(state)
         steps = [
             e
             for e in sorted(full - edges)
-            if siv_oracle(state, *e, ODD if e in odd else EVEN).kind != NONE
+            if siv_oracle(state, *e, ODD if e in odd else EVEN, *state_pass).kind != NONE
         ]
         result = any(reach(edges | {e}) for e in steps)
         memo[edges] = result

@@ -6,7 +6,6 @@ import random
 from itertools import combinations
 from typing import Iterator
 
-from .completion import SignedComplete
 from .graphs import Edge, SignedGraph
 
 
@@ -32,19 +31,9 @@ def iter_signed_graphs(n: int) -> Iterator[SignedGraph]:
         yield from iter_signings(n, edges)
 
 
-def iter_signed_completes(n: int) -> Iterator[SignedComplete]:
-    for odd in iter_subsets(all_pairs(n)):
-        yield SignedComplete(n, odd)
-
-
 def random_signed_graph(
     rng: random.Random, n: int, edge_prob: float = 0.5
 ) -> SignedGraph:
     edges = frozenset(e for e in all_pairs(n) if rng.random() < edge_prob)
     odd = frozenset(e for e in edges if rng.random() < 0.5)
     return SignedGraph(n, edges, odd)
-
-
-def random_signed_complete(rng: random.Random, n: int) -> SignedComplete:
-    odd = frozenset(e for e in all_pairs(n) if rng.random() < 0.5)
-    return SignedComplete(n, odd)

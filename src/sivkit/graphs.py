@@ -102,9 +102,6 @@ class SignedGraph:
     def odd_neighbors(self, v: int) -> set[int]:
         return {u for u, is_odd in self.adjacency(v).items() if is_odd}
 
-    def even_neighbors(self, v: int) -> set[int]:
-        return {u for u, is_odd in self.adjacency(v).items() if not is_odd}
-
     def degree(self, v: int) -> int:
         return len(self.adjacency(v))
 
@@ -134,12 +131,6 @@ class SignedGraph:
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u},{v}) is missing")
         return SignedGraph(self.n, self.edges - {e}, self.odd - {e})
-
-    def remove_edges(self, edges: Iterable[Edge]) -> SignedGraph:
-        out = self
-        for u, v in edges:
-            out = out.remove_edge(u, v)
-        return out
 
     def non_adjacent_pairs(self) -> Iterator[Edge]:
         for pair in combinations(self.vertices, 2):

@@ -152,12 +152,6 @@ class IntPoly:
             raise ValueError("inexact polynomial division")
         return IntPoly(tuple(quot))
 
-    def constant_multiple_of(self, other: IntPoly) -> int | None:
-        """Return the integer c with self == c * other, or None."""
-        if other.is_zero:
-            return None
-        return coefficient_ratio(self.coeffs, other.coeffs)
-
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 

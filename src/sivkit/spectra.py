@@ -8,7 +8,6 @@ polynomial identities, independent of any combinatorial characterization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 from .graphs import ODD, SignedGraph, _check_pair, _check_parity
@@ -40,14 +39,6 @@ class IntMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
-
-    @property
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
 
 
 def signed_laplacian(g: SignedGraph) -> IntMatrix:
@@ -219,20 +210,17 @@ class SivVerdict:
         return out
 
 
-@lru_cache(maxsize=1)
-def _laplacian_pass(g: SignedGraph) -> tuple[IntPoly, list[list[list[int]]]]:
-    """p = det(xI - L) and the adjugate matrices B_k of the last graph asked
-    about.  One entry suffices: sweeps ask about every addition to a graph
-    before moving on, so a graph's Faddeev-LeVerrier pass runs once.  The
-    matrices are shared between callers and must not be modified."""
+def laplacian_pass(g: SignedGraph) -> tuple[IntPoly, list[list[list[int]]]]:
+    """p = det(xI - L) and the adjugate matrices B_k of g's Laplacian, from
+    one Faddeev-LeVerrier pass.  A caller that asks siv_oracle about many
+    additions to g runs this once and passes both on."""
     coeffs, adjugate = faddeev_leverrier(signed_laplacian(g))
     return IntPoly(tuple(coeffs)), adjugate
 
 
 def laplacian_char_poly(g: SignedGraph) -> IntPoly:
-    """char_poly(signed_laplacian(g)); the pass is shared with siv_oracle
-    through their one-graph memo."""
-    return _laplacian_pass(g)[0]
+    """det(xI - L) for g's signed Laplacian L."""
+    return char_poly(signed_laplacian(g))
 
 
 def _shift_factors(verdict: SivVerdict) -> tuple[IntPoly, IntPoly]:
@@ -270,28 +258,37 @@ def polynomial_after(p: IntPoly, verdict: SivVerdict) -> IntPoly:
 
 
 def _addition_delta(
-    g: SignedGraph, v: int, w: int, parity: str, p: IntPoly | None = None
+    g: SignedGraph,
+    v: int,
+    w: int,
+    parity: str,
+    p: IntPoly | None = None,
+    adjugate: list[list[list[int]]] | None = None,
 ) -> tuple[IntPoly, list[int]]:
     """g's polynomial p and delta = p' - p = -u^T adj(xI - L) u for adding the
     edge vw, with ascending coefficients like p.
 
-    Without p, delta is read off the adjugate matrices of g's memoised
-    Faddeev-LeVerrier pass.  With p = det(xI - L) given, it comes from the
-    Krylov moments mu_i = u^T L^i u instead: adj(xI - L) is the sum of
-    B_k x^(n-1-k) with B_k = sum over j <= k of c_(n-j) L^(k-j), so the
-    x^(n-1-k) coefficient of delta is -sum over j <= k of c_(n-j) mu_(k-j).
-    With y_0 = u and y_(i+1) = L y_i, mu_(2i) = y_i.y_i and
-    mu_(2i+1) = y_i.y_(i+1): about n/2 matrix-vector products and no pass.
+    With the adjugate matrices of g's Faddeev-LeVerrier pass, delta is read
+    off their diagonals; without p, that pass is run here.  With p =
+    det(xI - L) alone, delta comes from the Krylov moments mu_i = u^T L^i u
+    instead: adj(xI - L) is the sum of B_k x^(n-1-k) with B_k = sum over
+    j <= k of c_(n-j) L^(k-j), so the x^(n-1-k) coefficient of delta is
+    -sum over j <= k of c_(n-j) mu_(k-j).  With y_0 = u and y_(i+1) = L y_i,
+    mu_(2i) = y_i.y_i and mu_(2i+1) = y_i.y_(i+1): about n/2
+    matrix-vector products and no pass.
     """
-    vi, wi = v - 1, w - 1
     if p is None:
-        p, adjugate = _laplacian_pass(g)
-        cross = 2 if parity == ODD else -2
-        # adjugate[k] multiplies x^(n-1-k)
-        return p, [-(b[vi][vi] + b[wi][wi] + cross * b[vi][wi]) for b in reversed(adjugate)]
+        if adjugate is not None:
+            raise ValueError("adjugate matrices given without their polynomial")
+        p, adjugate = laplacian_pass(g)
     n = g.n
     if p.degree != n:
         raise ValueError(f"polynomial of degree {p.degree} given for {n} vertices")
+    vi, wi = v - 1, w - 1
+    if adjugate is not None:
+        cross = 2 if parity == ODD else -2
+        # adjugate[k] multiplies x^(n-1-k)
+        return p, [-(b[vi][vi] + b[wi][wi] + cross * b[vi][wi]) for b in reversed(adjugate)]
     rows = signed_laplacian(g).rows
     y = [0] * n
     y[vi], y[wi] = 1, 1 if parity == ODD else -1
@@ -307,7 +304,12 @@ def _addition_delta(
 
 
 def siv_oracle(
-    g: SignedGraph, v: int, w: int, parity: str, p: IntPoly | None = None
+    g: SignedGraph,
+    v: int,
+    w: int,
+    parity: str,
+    p: IntPoly | None = None,
+    adjugate: list[list[list[int]]] | None = None,
 ) -> SivVerdict:
     """Decide integral spectral variation for adding edge vw, by exact algebra.
 
@@ -317,10 +319,13 @@ def siv_oracle(
 
       delta = p' - p = -u^T adj(xI - L) u
 
-    (never zero: its x^(n-1) coefficient is -u^T u = -2).  Without p, delta
-    is read off the adjugate matrices of g's Faddeev-LeVerrier pass; a caller
-    that already holds g's polynomial passes it as p, and delta comes from
-    the Krylov moments u^T L^i u (see _addition_delta).  Then
+    (never zero: its x^(n-1) coefficient is -u^T u = -2).  delta is read off
+    the adjugate matrices of g's Faddeev-LeVerrier pass: a caller that asks
+    about many additions to g runs laplacian_pass(g) once and passes both
+    results as p and adjugate; without them the pass runs here.  A caller
+    that holds only g's polynomial passes it as p, and delta comes from the
+    Krylov moments u^T L^i u instead (see _addition_delta).  All three forms
+    give the same verdict.  Then
 
       * one eigenvalue lam rises by 2  iff  x*delta + 2p == lam*delta, and
       * two eigenvalues rise by 1 with sum s and product rho  iff
@@ -340,7 +345,7 @@ def siv_oracle(
     # 2.4x and its exhaustive n <= 4 sweep 1.5x slower.  A plan asks about
     # one pair per graph and carries p, and there the O(n^3) moments
     # replace a pass per step.
-    p, delta = _addition_delta(g, v, w, parity, p)
+    p, delta = _addition_delta(g, v, w, parity, p, adjugate)
     pc = p.coeffs
 
     # x*delta + 2p, on coefficient lists

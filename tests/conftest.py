@@ -6,7 +6,8 @@ from the permanent-style permutation expansion, integer roots from synthetic
 division at every integer of a given range, switching equivalence from
 exhaustive search over all switching sets, the integral-variation
 conditions from switched copies of the graph in centered form, and plain
-completability from a scan of every 4-vertex subset.
+completability from a scan of every 4-vertex subset.  Below them are the
+generators and graph edits only tests need.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from sivkit import EVEN, ODD, IntMatrix, IntPoly, SignedGraph, SivVerdict
+from sivkit import EVEN, ODD, IntMatrix, IntPoly, SignedComplete, SignedGraph, SivVerdict
+from sivkit.enumeration import all_pairs, iter_subsets
 
 MAX_SEARCH_EXAMPLES = 120
 
@@ -87,8 +89,8 @@ def trial_division_roots(coeffs: tuple[int, ...], radius: int) -> tuple[list[int
 def neighbor_set_type1(g: SignedGraph, v: int, w: int, parity: str) -> bool:
     """Equal odd and even neighbor sets of v and w, or swapped ones for an odd
     addition."""
-    ov, ev = g.odd_neighbors(v), g.even_neighbors(v)
-    ow, ew = g.odd_neighbors(w), g.even_neighbors(w)
+    ov, ev = g.odd_neighbors(v), g.neighbors(v) - g.odd_neighbors(v)
+    ow, ew = g.odd_neighbors(w), g.neighbors(w) - g.odd_neighbors(w)
     if parity == EVEN:
         return ov == ow and ev == ew
     return ov == ew and ev == ow
@@ -160,6 +162,32 @@ def brute_force_switch_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     if g1.edges != g2.edges:
         return False
     return any(switch_at(g1, s) == g2 for s in all_switch_sets(g1.n))
+
+
+def iter_signed_completes(n: int):
+    """All 2^C(n,2) signed complete graphs on n labelled vertices."""
+    for odd in iter_subsets(all_pairs(n)):
+        yield SignedComplete(n, odd)
+
+
+def random_signed_complete(rng: random.Random, n: int) -> SignedComplete:
+    odd = frozenset(e for e in all_pairs(n) if rng.random() < 0.5)
+    return SignedComplete(n, odd)
+
+
+def remove_edges(g: SignedGraph, edges) -> SignedGraph:
+    """g without the listed edges, each of which must be present."""
+    for u, v in edges:
+        g = g.remove_edge(u, v)
+    return g
+
+
+def final_graph(plan) -> SignedGraph:
+    """The plan's start with every planned edge added."""
+    g = plan.start
+    for step in plan.steps:
+        g = g.add_edge(*step.edge, step.parity)
+    return g
 
 
 def random_graphs(seed: int, count: int, n: int, edge_prob: float = 0.5):

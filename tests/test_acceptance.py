@@ -29,6 +29,7 @@ from sivkit import (
     is_plain_integrally_completable,
     is_sigma_completable,
     laplacian_char_poly,
+    laplacian_pass,
     make_centered,
     plan_completion,
     siv_oracle,
@@ -43,12 +44,12 @@ from sivkit import (
 from sivkit.cli import main
 from sivkit.enumeration import (
     all_pairs,
-    iter_signed_completes,
     iter_signings,
     iter_subsets,
-    random_signed_complete,
     random_signed_graph,
 )
+
+from conftest import iter_signed_completes, random_signed_complete
 
 SEED = 20260810
 RANDOM_GRAPHS_PER_ORDER = 5_000  # criterion 1: orders 6 and 7, two parities each
@@ -100,13 +101,14 @@ def survey() -> Survey:
         for edges in iter_subsets(all_pairs(n)):
             slots = slots_for(n, edges)
             for g in iter_signings(n, edges):
-                out.polys[g] = laplacian_char_poly(g)
+                p, adjugate = laplacian_pass(g)
+                out.polys[g] = p
                 flat: list[int] = []
                 for v, w in slots:
                     for parity in (EVEN, ODD):
                         out.exhaustive_instances += 1
                         verdict = classify(g, v, w, parity)
-                        oracle = siv_oracle(g, v, w, parity)
+                        oracle = siv_oracle(g, v, w, parity, p, adjugate)
                         out.counts[verdict.kind] += 1
                         if verdict.params != oracle.params:
                             out.mismatches.append(
@@ -127,10 +129,11 @@ def survey() -> Survey:
             if not missing:
                 continue
             v, w = rng.choice(missing)
+            g_pass = laplacian_pass(g)
             for parity in (EVEN, ODD):
                 out.random_instances += 1
                 verdict = classify(g, v, w, parity)
-                oracle = siv_oracle(g, v, w, parity)
+                oracle = siv_oracle(g, v, w, parity, *g_pass)
                 if verdict.params != oracle.params:
                     out.mismatches.append(
                         (g, v, w, parity, verdict.params, oracle.params)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sivkit
 from sivkit import EVEN, ODD, SignedComplete, SignedGraph, SivVerdict, dumps_sg, dumps_sk, switch_at
-from sivkit import completion, spectra
+from sivkit import cli, completion, spectra
 from sivkit.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from sivkit.fileio import MAX_VERTICES
 
@@ -393,6 +393,19 @@ class TestEnumerate:
             "canonical": False, "graphs": samples, "instances": instances,
             "type1": type1, "type2": type2, "none": none, "mismatches": 0,
         }
+
+    def test_one_pass_per_graph_with_an_addition(self, capsys, monkeypatch):
+        passes = []
+
+        def counting(g):
+            passes.append(g)
+            return spectra.laplacian_pass(g)
+
+        monkeypatch.setattr(cli, "laplacian_pass", counting)
+        assert main(["enumerate", "--n-limit", "3", "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["mismatches"] == 0
+        # 27 signed graphs on 3 vertices, less the 8 complete ones
+        assert len(passes) == len(set(passes)) == 19
 
     def test_canonical_reduces_graph_count(self, capsys):
         main(["enumerate", "--n-limit", "3", "--json"])

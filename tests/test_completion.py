@@ -15,6 +15,7 @@ from sivkit import (
     is_plain_integrally_completable,
     is_sigma_completable,
     laplacian_char_poly,
+    laplacian_pass,
     part_blocks,
     plan_completion,
     quotient_decomposition,
@@ -29,14 +30,16 @@ from sivkit import (
     y_set,
 )
 from sivkit import completion
-from sivkit.enumeration import (
-    all_pairs,
-    iter_signed_completes,
-    random_signed_complete,
-)
+from sivkit.enumeration import all_pairs
 from sivkit.spectra import polynomial_after
 
-from conftest import four_subset_scan_completable
+from conftest import (
+    final_graph,
+    four_subset_scan_completable,
+    iter_signed_completes,
+    random_signed_complete,
+    remove_edges,
+)
 
 
 def k7_balanced_instance() -> SignedComplete:
@@ -407,7 +410,7 @@ def pinned_plan_starts() -> list[tuple[SignedGraph, SignedComplete]]:
         for _ in range(10):
             t = random_signed_complete(rng, n)
             missing = [e for e in all_pairs(n) if rng.random() < 0.6]
-            cases.append((t.to_signed_graph().remove_edges(missing), t))
+            cases.append((remove_edges(t.to_signed_graph(), missing), t))
     targets = [part_target(rng, n) for n in range(4, 11) for _ in range(12)]
     t7 = k7_balanced_instance()
     targets += [t7, t7]
@@ -419,7 +422,7 @@ def pinned_plan_starts() -> list[tuple[SignedGraph, SignedComplete]]:
         missing = set(y_set(t)) if rng.random() < 0.8 else set()
         for part in quotient_decomposition(t).parts:
             missing |= forest_closure(rng, part)
-        cases.append((t.to_signed_graph().remove_edges(sorted(missing)), t))
+        cases.append((remove_edges(t.to_signed_graph(), sorted(missing)), t))
     return cases
 
 
@@ -467,7 +470,7 @@ class TestPlanCompletion:
         step = plan.steps[0]
         assert step.edge == (3, 4) and step.parity == EVEN
         assert step.verdict.kind == "type1"
-        assert plan.final_graph() == t.to_signed_graph()
+        assert final_graph(plan) == t.to_signed_graph()
 
     def test_k7_balanced_edge_step(self):
         t = k7_balanced_instance()
@@ -504,7 +507,7 @@ class TestPlanCompletion:
         plan = plan_completion(g, t)
         assert len(plan.steps) == 3
         assert all(s.verdict.kind in ("type1", "type2") for s in plan.steps)
-        assert plan.final_graph() == t.to_signed_graph()
+        assert final_graph(plan) == t.to_signed_graph()
 
     def test_plan_step_json(self):
         t = SignedComplete.of(4, [(1, 2)])
@@ -533,7 +536,7 @@ class TestBruteForce:
                 full = t.to_signed_graph()
                 for drop in range(len(all_pairs(n)) + 1):
                     for combo in combinations(all_pairs(n), drop):
-                        g = full.remove_edges(combo)
+                        g = remove_edges(full, combo)
                         assert brute_force_completable(g, t) == is_sigma_completable(
                             g, t
                         )
@@ -545,3 +548,20 @@ class TestBruteForce:
             edges = [e for e in all_pairs(4) if rng.random() < 0.6]
             g = SignedGraph(4, frozenset(edges), frozenset(t.odd & set(edges)))
             assert brute_force_completable(g, t) == is_sigma_completable(g, t)
+
+    def test_one_pass_per_visited_state(self, monkeypatch):
+        passes = []
+
+        def counting(g):
+            passes.append(g.edges)
+            return laplacian_pass(g)
+
+        monkeypatch.setattr(completion, "laplacian_pass", counting)
+        # not completable, so the search visits every state it can reach,
+        # and each visited state gets a memo entry
+        t = SignedComplete.of(5, [(1, 2)])
+        memo: dict = {}
+        assert not brute_force_completable(SignedGraph(5, frozenset(), frozenset()), t, memo)
+        assert len(memo) > 100
+        assert len(passes) == len(set(passes)) == len(memo)
+        assert set(passes) == set(memo)

@@ -47,7 +47,7 @@ class TestSignedGraph:
         g = SignedGraph.of(4, [(1, 2, ODD), (2, 3, EVEN)])
         assert g.neighbors(2) == {1, 3}
         assert g.odd_neighbors(2) == {1}
-        assert g.even_neighbors(2) == {3}
+        assert g.adjacency(2) == {1: True, 3: False}
         assert g.degree(4) == 0
         assert g.parity(1, 2) == ODD
         assert sorted(g.non_adjacent_pairs()) == [(1, 3), (1, 4), (2, 4), (3, 4)]

@@ -13,6 +13,7 @@ from sivkit import (
     char_poly,
     integer_spectrum,
     laplacian_char_poly,
+    laplacian_pass,
     signed_laplacian,
     siv_oracle,
     switch_at,
@@ -24,7 +25,6 @@ from sivkit.spectra import (
     _addition_delta,
     _divisors,
     _iroot,
-    _laplacian_pass,
     _root_bound,
     polynomial_after,
 )
@@ -57,7 +57,7 @@ class TestSignedLaplacian:
     @given(signed_graphs(max_n=6))
     def test_symmetric_with_degree_diagonal(self, g):
         L = signed_laplacian(g)
-        assert L.is_symmetric
+        assert L.rows == tuple(zip(*L.rows))
         assert all(L.entry(v - 1, v - 1) == g.degree(v) for v in g.vertices)
 
 
@@ -286,6 +286,7 @@ class TestSivOracle:
             evs = np.sort(
                 np.linalg.eigvalsh(np.array(signed_laplacian(g).rows, dtype=float))
             )
+            g_pass = laplacian_pass(g)
             for v, w in g.non_adjacent_pairs():
                 for parity in (EVEN, ODD):
                     after = g.add_edge(v, w, parity)
@@ -294,7 +295,7 @@ class TestSivOracle:
                             np.array(signed_laplacian(after).rows, dtype=float)
                         )
                     )
-                    verdict = siv_oracle(g, v, w, parity)
+                    verdict = siv_oracle(g, v, w, parity, *g_pass)
                     if verdict.kind == "type1":
                         assert _bumped_matches(evs, evs2, [(verdict.lam, 2.0)])
                     elif verdict.kind == "type2":
@@ -312,8 +313,8 @@ def _additions(g):
             yield v, w, parity
 
 
-def _derived_after(g, v, w, parity):
-    p, delta = _addition_delta(g, v, w, parity)
+def _derived_after(g, v, w, parity, g_pass):
+    p, delta = _addition_delta(g, v, w, parity, *g_pass)
     return p + IntPoly(tuple(delta))
 
 
@@ -324,65 +325,56 @@ class TestDerivedAdditionPolynomials:
     def test_matches_direct_char_poly(self):
         for n in range(2, 13):
             for g in random_graphs(seed=100 + n, count=3, n=n, edge_prob=0.4):
+                g_pass = laplacian_pass(g)
                 for v, w, parity in _additions(g):
                     after = signed_laplacian(g.add_edge(v, w, parity))
-                    assert _derived_after(g, v, w, parity) == char_poly(after), (g, v, w, parity)
+                    assert _derived_after(g, v, w, parity, g_pass) == char_poly(after), (g, v, w, parity)
 
     def test_matches_permutation_expansion(self):
         graphs = list(iter_signed_graphs(3))
         graphs += list(random_graphs(seed=21, count=40, n=4))
         graphs += list(random_graphs(seed=22, count=12, n=5))
         for g in graphs:
+            g_pass = laplacian_pass(g)
             for v, w, parity in _additions(g):
                 after = signed_laplacian(g.add_edge(v, w, parity))
-                assert _derived_after(g, v, w, parity) == leibniz_char_poly(after), (g, v, w, parity)
+                assert _derived_after(g, v, w, parity, g_pass) == leibniz_char_poly(after), (g, v, w, parity)
 
     def test_moments_match_the_pass(self):
-        # A caller that passes p gets delta from Krylov moments u^T L^i u
-        # instead of the adjugate diagonals: every addition of the seeded
-        # graphs, plus dense graphs at the vertex cap.
+        # A caller that passes p alone gets delta from Krylov moments
+        # u^T L^i u instead of the adjugate diagonals, and a caller that
+        # passes neither gets a pass of its own: every addition of the seeded
+        # graphs, plus dense graphs at the vertex cap, where the call forms
+        # that run a pass per addition are checked on the first one only.
         graphs = [g for n in range(2, 13) for g in random_graphs(seed=100 + n, count=3, n=n, edge_prob=0.4)]
         graphs += list(random_graphs(seed=31, count=2, n=MAX_VERTICES, edge_prob=0.95))
         for g in graphs:
-            p = laplacian_char_poly(g)
+            p, adjugate = laplacian_pass(g)
             additions = list(_additions(g))
             for i, (v, w, parity) in enumerate(additions):
-                by_pass = _addition_delta(g, v, w, parity)
+                by_pass = _addition_delta(g, v, w, parity, p, adjugate)
                 assert _addition_delta(g, v, w, parity, p) == by_pass, (g, v, w, parity)
-                assert siv_oracle(g, v, w, parity, p).params == siv_oracle(g, v, w, parity).params
+                params = siv_oracle(g, v, w, parity, p, adjugate).params
+                assert siv_oracle(g, v, w, parity, p).params == params
                 if g.n < MAX_VERTICES or i == 0:
+                    assert siv_oracle(g, v, w, parity).params == params
                     after = char_poly(signed_laplacian(g.add_edge(v, w, parity)))
                     assert after - p == IntPoly(tuple(by_pass[1])), (g, v, w, parity)
 
     def test_polynomial_of_wrong_degree_refused(self):
         g = SignedGraph.all_even(4, [(1, 2), (2, 3)])
-        p = laplacian_char_poly(g)
+        p, adjugate = laplacian_pass(g)
         for wrong in (p * IntPoly.x(), laplacian_char_poly(SignedGraph.all_even(3, [(1, 2)]))):
             with pytest.raises(ValueError):
                 siv_oracle(g, 3, 4, EVEN, wrong)
+            with pytest.raises(ValueError):
+                siv_oracle(g, 3, 4, EVEN, wrong, adjugate)
 
-    def test_alternating_graphs_match_fresh_calls(self):
-        # Two signings of one underlying graph: the same additions exist in
-        # both, and adding 2-3 gets type 1 in one and type 2 in the other, so
-        # an answer taken from the other graph's memo entry would show.
-        a = SignedGraph.of(4, [(1, 2, EVEN), (1, 3, EVEN)])
-        b = SignedGraph.of(4, [(1, 2, ODD), (1, 3, EVEN)])
-        additions = list(_additions(a))
-
-        def fresh(g, v, w, parity):
-            _laplacian_pass.cache_clear()
-            return siv_oracle(g, v, w, parity).params
-
-        want_a = [fresh(a, *add) for add in additions]
-        want_b = [fresh(b, *add) for add in additions]
-        assert want_a != want_b
-        assert {kind for kind, *_ in want_a + want_b} == {"type1", "type2", "none"}
-        for add, va, vb in zip(additions, want_a, want_b):
-            assert siv_oracle(a, *add).params == va
-            assert siv_oracle(b, *add).params == vb
-            assert siv_oracle(a, *add).params == va
-            assert laplacian_char_poly(b) == char_poly(signed_laplacian(b))
-            assert laplacian_char_poly(a) == char_poly(signed_laplacian(a))
+    def test_adjugate_without_polynomial_refused(self):
+        g = SignedGraph.all_even(4, [(1, 2), (2, 3)])
+        _, adjugate = laplacian_pass(g)
+        with pytest.raises(ValueError):
+            siv_oracle(g, 3, 4, EVEN, adjugate=adjugate)
 
 
 class TestVerifyShiftIdentity:
