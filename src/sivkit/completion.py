@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .graphs import EVEN, ODD, Edge, SignedGraph, edge, switch_at
 from .polynomials import IntPoly
 from .spectra import (
     NONE,
-    IntMatrix,
     SivVerdict,
     char_poly,
     laplacian_char_poly,
@@ -188,7 +187,7 @@ class SubstitutionSpectrum:
     (characteristic polynomial of the small coupling matrix) and the
     mass-shifted leftover eigenvalues of each replacement graph."""
 
-    m_matrix: IntMatrix
+    m_matrix: tuple[tuple[int, ...], ...]
     m_poly: IntPoly
     shifted_poly: IntPoly
     part_sizes: tuple[int, ...]
@@ -237,7 +236,7 @@ def substitution_spectrum(
             else:
                 row.append(0)
         rows.append(tuple(row))
-    m_matrix = IntMatrix(tuple(rows))
+    m_matrix = tuple(rows)
     shifted = IntPoly.one()
     for q in order:
         poly = char_poly(signed_laplacian(parts[q]))
@@ -315,22 +314,29 @@ def quotient_decomposition(t: SignedComplete) -> QuotientDecomposition:
     )
 
 
-def is_plain_integrally_completable(n: int, edges: Iterable[Edge]) -> bool:
-    """No four vertices induce a path or a perfect matching on two edges.
+def _nested(n: int, m: Collection[Edge]) -> bool:
+    """The graph M on 1..n with these edges has no induced P4 or C4.
 
-    Equivalently the complement M has no induced P4 or C4, which holds
-    exactly when the closed neighbourhoods of the two ends of every edge uv
-    of M are nested (Wolk 1962; Golumbic 1978): a neighbour x of u only and
-    a neighbour y of v only form the path x-u-v-y in M, or the 4-cycle when
-    xy is in M.
+    That holds exactly when the closed neighbourhoods of the two ends of
+    every edge uv of M are nested (Wolk 1962; Golumbic 1978): a neighbour x
+    of u only and a neighbour y of v only form the path x-u-v-y in M, or the
+    4-cycle when xy is in M.  m is iterated twice, so it is a collection.
     """
-    present = {edge(u, v) for u, v in edges}
     closed = {v: {v} for v in range(1, n + 1)}
-    m = [e for e in combinations(range(1, n + 1), 2) if e not in present]
     for u, v in m:
         closed[u].add(v)
         closed[v].add(u)
     return all(closed[u] <= closed[v] or closed[v] <= closed[u] for u, v in m)
+
+
+def is_plain_integrally_completable(n: int, edges: Iterable[Edge]) -> bool:
+    """No four vertices induce a path or a perfect matching on two edges.
+
+    Equivalently the complement M of the present edges has no induced P4 or
+    C4, which _nested decides.
+    """
+    present = {edge(u, v) for u, v in edges}
+    return _nested(n, [e for e in combinations(range(1, n + 1), 2) if e not in present])
 
 
 def _sign_restriction_matches(g: SignedGraph, target: SignedComplete) -> bool:
@@ -353,12 +359,11 @@ def is_sigma_completable(g: SignedGraph, target: SignedComplete) -> bool:
         return False
     if g.n <= 3:
         return True
-    all_pairs = set(target.all_edges())
-    missing = all_pairs - g.edges
+    missing = set(target.all_edges()) - g.edges
     x = x_set(target)
     if not missing <= x | y_set(target):
         return False
-    return is_plain_integrally_completable(g.n, all_pairs - (x - g.edges))
+    return _nested(g.n, x - g.edges)
 
 
 @dataclass(frozen=True)
@@ -396,8 +401,7 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
     """
     if not is_sigma_completable(g, target):
         raise ValueError("graph is not integrally completable toward the target")
-    all_pairs = set(target.all_edges())
-    missing = sorted(all_pairs - g.edges)
+    missing = sorted(set(target.all_edges()) - g.edges)
     y_first = sorted(set(missing) & y_set(target)) if target.n >= 4 else []
     pool = [e for e in missing if e not in y_first]
     steps: list[PlanStep] = []
@@ -418,11 +422,11 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
         commit(e)
     # Every addition keeps the target's signs and leaves only all-even edges
     # missing, so of the completability conditions only the plain one can
-    # change.  It passes every graph below four vertices: the order is sorted.
+    # change, and M is the pool.  It passes every graph below four vertices:
+    # the order is sorted.
     while pool:
-        present = all_pairs - set(pool)
         for e in pool:
-            if is_plain_integrally_completable(target.n, present | {e}):
+            if _nested(target.n, [f for f in pool if f != e]):
                 commit(e)
                 pool.remove(e)
                 break

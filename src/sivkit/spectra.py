@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
+from typing import Sequence
 
 from .graphs import ODD, SignedGraph, _check_pair, _check_parity
 from .polynomials import IntPoly, coefficient_ratio
@@ -18,31 +19,9 @@ TYPE1 = "type1"
 TYPE2 = "type2"
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Square matrix of arbitrary-precision integers, stored row-major."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        n = len(rows)
-        if n == 0:
-            raise ValueError("matrix must have at least one row")
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-
-def signed_laplacian(g: SignedGraph) -> IntMatrix:
-    """Degree diagonal minus signed adjacency: even edge -1, odd edge +1."""
+def signed_laplacian(g: SignedGraph) -> tuple[tuple[int, ...], ...]:
+    """Degree diagonal minus signed adjacency: even edge -1, odd edge +1,
+    as a tuple of integer rows."""
     rows = []
     for u in g.vertices:
         adj = g.adjacency(u)
@@ -51,24 +30,30 @@ def signed_laplacian(g: SignedGraph) -> IntMatrix:
         for x, is_odd in adj.items():
             row[x - 1] = 1 if is_odd else -1
         rows.append(tuple(row))
-    return IntMatrix(tuple(rows))
+    return tuple(rows)
 
 
-def faddeev_leverrier(m: IntMatrix) -> tuple[list[int], list[list[list[int]]]]:
+def faddeev_leverrier(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[list[int]]]]:
     """Coefficients of det(xI - m), ascending, and the matrices B_0..B_{n-1}
-    with adj(xI - m) = sum of B_k x^(n-1-k).
+    with adj(xI - m) = sum of B_k x^(n-1-k), for a square matrix m given as
+    rows.  Each entry is read through int once, so a matrix of fixed-width
+    integers (numpy int64, say) is still computed exactly.
 
     Division-free over the integers: B_0 = I, B_k = m B_(k-1) + c_(n-k) I and
     c_(n-k) = -tr(m B_(k-1)) / k, where every division is exact.  Each B_k is
     a polynomial in m and so commutes with it; the products are taken as
     B_(k-1) m, which pairs the rows of B with the fixed columns of m.
     """
-    n = m.n
-    cols = list(zip(*m.rows))
+    mk = [list(map(int, row)) for row in m]  # B_0 m
+    n = len(mk)
+    if n == 0:
+        raise ValueError("matrix must have at least one row")
+    if any(len(row) != n for row in mk):
+        raise ValueError("matrix must be square")
+    cols = list(zip(*mk))
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     adjugate = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    mk = [list(row) for row in m.rows]  # B_0 m
     for k in range(1, n + 1):
         t = sum(mk[i][i] for i in range(n))
         if t % k:
@@ -83,8 +68,9 @@ def faddeev_leverrier(m: IntMatrix) -> tuple[list[int], list[list[list[int]]]]:
     return coeffs, adjugate
 
 
-def char_poly(m: IntMatrix) -> IntPoly:
-    """det(xI - m), monic with exact integer coefficients."""
+def char_poly(m: Sequence[Sequence[int]]) -> IntPoly:
+    """det(xI - m) for a square matrix of integer rows, monic with exact
+    integer coefficients."""
     return IntPoly(tuple(faddeev_leverrier(m)[0]))
 
 
@@ -226,7 +212,8 @@ def laplacian_char_poly(g: SignedGraph) -> IntPoly:
 def _shift_factors(verdict: SivVerdict) -> tuple[IntPoly, IntPoly]:
     """The factors f and h with p' * f == p * h for a verdict's shift:
     x - lam and x - lam - 2 for type 1, q(x) and q(x - 1) with
-    q = x^2 - s*x + rho for type 2."""
+    q = x^2 - s*x + rho for type 2, where q(x - 1) is written out as
+    x^2 - (s + 2)*x + (1 + s + rho)."""
     if verdict.kind == TYPE1:
         if verdict.lam is None:
             raise ValueError("type-1 verdict requires lam")
@@ -234,8 +221,8 @@ def _shift_factors(verdict: SivVerdict) -> tuple[IntPoly, IntPoly]:
     if verdict.kind == TYPE2:
         if verdict.s is None or verdict.p is None:
             raise ValueError("type-2 verdict requires s and p")
-        q = IntPoly((verdict.p, -verdict.s, 1))
-        return q, q.shifted(-1)
+        s, rho = verdict.s, verdict.p
+        return IntPoly((rho, -s, 1)), IntPoly((1 + s + rho, -s - 2, 1))
     if verdict.kind == NONE:
         raise ValueError("verdict carries no shift")
     raise ValueError(f"unknown verdict kind {verdict.kind!r}")
@@ -289,7 +276,7 @@ def _addition_delta(
         cross = 2 if parity == ODD else -2
         # adjugate[k] multiplies x^(n-1-k)
         return p, [-(b[vi][vi] + b[wi][wi] + cross * b[vi][wi]) for b in reversed(adjugate)]
-    rows = signed_laplacian(g).rows
+    rows = signed_laplacian(g)
     y = [0] * n
     y[vi], y[wi] = 1, 1 if parity == ODD else -1
     mu = [2]  # u.u

@@ -17,15 +17,15 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from sivkit import EVEN, ODD, IntMatrix, IntPoly, SignedComplete, SignedGraph, SivVerdict
+from sivkit import EVEN, ODD, IntPoly, SignedComplete, SignedGraph, SivVerdict
 from sivkit.enumeration import all_pairs, iter_subsets
 
 MAX_SEARCH_EXAMPLES = 120
 
 
-def bareiss_determinant(m: IntMatrix) -> int:
+def bareiss_determinant(m: tuple[tuple[int, ...], ...]) -> int:
     """Fraction-free Gaussian elimination; all divisions are exact."""
-    a = [list(row) for row in m.rows]
+    a = [list(row) for row in m]
     n = len(a)
     sign = 1
     prev = 1
@@ -52,17 +52,17 @@ def _permutation_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def leibniz_char_poly(m: IntMatrix) -> IntPoly:
+def leibniz_char_poly(m: tuple[tuple[int, ...], ...]) -> IntPoly:
     """det(xI - m) by the full permutation expansion; usable up to n = 6."""
-    n = m.n
+    n = len(m)
     total = IntPoly.zero()
     for perm in permutations(range(n)):
         prod = IntPoly.one() * _permutation_sign(perm)
         for i in range(n):
             if perm[i] == i:
-                prod = prod * IntPoly((-m.entry(i, i), 1))
+                prod = prod * IntPoly((-m[i][i], 1))
             else:
-                prod = prod * (-m.entry(i, perm[i]))
+                prod = prod * (-m[i][perm[i]])
         total = total + prod
     return total
 

@@ -211,7 +211,7 @@ class TestSubstitutionSpectrum:
         q = SignedGraph.of(2, [(1, 2, EVEN)])
         parts = {i: SignedGraph(1, frozenset(), frozenset()) for i in (1, 2)}
         spectrum = substitution_spectrum(q, parts)
-        assert spectrum.m_matrix.rows == ((1, -1), (-1, 1))
+        assert spectrum.m_matrix == ((1, -1), (-1, 1))
         assert spectrum.m_poly == IntPoly.from_roots([0, 2])
         assert spectrum.shifted_poly == IntPoly.one()
         assert spectrum.total_poly == laplacian_char_poly(substitute(q, parts))
@@ -220,7 +220,7 @@ class TestSubstitutionSpectrum:
         q = SignedGraph.of(2, [(1, 2, EVEN)])
         parts = {1: SignedGraph.complete(2), 2: SignedGraph.complete(2)}
         spectrum = substitution_spectrum(q, parts)
-        assert spectrum.m_matrix.rows == ((2, -2), (-2, 2))
+        assert spectrum.m_matrix == ((2, -2), (-2, 2))
         assert spectrum.m_poly == IntPoly.from_roots([0, 4])
         assert spectrum.shifted_poly == IntPoly.from_roots([4, 4])
         assert spectrum.total_poly == laplacian_char_poly(SignedGraph.complete(4))
@@ -229,7 +229,7 @@ class TestSubstitutionSpectrum:
         q = SignedGraph.of(2, [(1, 2, ODD)])
         parts = {1: SignedGraph.complete(2), 2: SignedGraph.complete(2)}
         spectrum = substitution_spectrum(q, parts)
-        assert spectrum.m_matrix.rows == ((2, 2), (2, 2))
+        assert spectrum.m_matrix == ((2, 2), (2, 2))
         assert spectrum.total_poly == laplacian_char_poly(substitute(q, parts))
 
     def test_precondition_rejected(self):

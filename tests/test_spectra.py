@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sivkit import (
     EVEN,
     ODD,
-    IntMatrix,
     IntPoly,
     SignedGraph,
     SivVerdict,
@@ -44,26 +43,26 @@ from conftest import (
 class TestSignedLaplacian:
     def test_k2_even(self):
         g = SignedGraph.of(2, [(1, 2, EVEN)])
-        assert signed_laplacian(g).rows == ((1, -1), (-1, 1))
+        assert signed_laplacian(g) == ((1, -1), (-1, 1))
 
     def test_k2_odd(self):
         g = SignedGraph.of(2, [(1, 2, ODD)])
-        assert signed_laplacian(g).rows == ((1, 1), (1, 1))
+        assert signed_laplacian(g) == ((1, 1), (1, 1))
 
     def test_k3_all_even(self):
         L = signed_laplacian(SignedGraph.complete(3))
-        assert L.rows == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+        assert L == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
 
     @given(signed_graphs(max_n=6))
     def test_symmetric_with_degree_diagonal(self, g):
         L = signed_laplacian(g)
-        assert L.rows == tuple(zip(*L.rows))
-        assert all(L.entry(v - 1, v - 1) == g.degree(v) for v in g.vertices)
+        assert L == tuple(zip(*L))
+        assert all(L[v - 1][v - 1] == g.degree(v) for v in g.vertices)
 
 
 class TestCharPoly:
     def test_one_by_one_zero(self):
-        assert char_poly(IntMatrix(((0,),))) == IntPoly.x()
+        assert char_poly(((0,),)) == IntPoly.x()
 
     def test_k3_laplacian(self):
         L = signed_laplacian(SignedGraph.complete(3))
@@ -82,9 +81,22 @@ class TestCharPoly:
             assert char_poly(L) == leibniz_char_poly(L)
 
     def test_nonsymmetric_matrix(self):
-        m = IntMatrix(((1, 2), (0, 3)))
+        m = ((1, 2), (0, 3))
         assert char_poly(m) == IntPoly.of(3, -4, 1)  # (x-1)(x-3)
         assert char_poly(m) == leibniz_char_poly(m)
+
+    @pytest.mark.parametrize("m", [(), ((1, 2),), ((1, 2), (3,))])
+    def test_empty_or_ragged_matrix_refused(self, m):
+        with pytest.raises(ValueError):
+            char_poly(m)
+
+    def test_fixed_width_entries_computed_exactly(self):
+        np = pytest.importorskip("numpy")
+        m = np.diag(np.array([10**7] * 3, dtype=np.int64))
+        p = char_poly(m)
+        assert p.coeffs[0] == -(10**21)  # beyond int64
+        assert p == IntPoly.from_roots([10**7] * 3)
+        assert all(type(c) is int for c in p.coeffs)
 
     def test_constant_term_is_signed_determinant(self):
         # exhaustive n <= 4, sampled n in {5, 6}
@@ -99,8 +111,7 @@ class TestCharPoly:
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                     min_size=3, max_size=3))
     def test_random_matrices_match_expansion(self, rows):
-        m = IntMatrix(tuple(tuple(r) for r in rows))
-        assert char_poly(m) == leibniz_char_poly(m)
+        assert char_poly(rows) == leibniz_char_poly(rows)
 
 
 class TestIntegerSpectrum:
@@ -284,7 +295,7 @@ class TestSivOracle:
         graphs += list(random_graphs(seed=5, count=400, n=5))
         for g in graphs:
             evs = np.sort(
-                np.linalg.eigvalsh(np.array(signed_laplacian(g).rows, dtype=float))
+                np.linalg.eigvalsh(np.array(signed_laplacian(g), dtype=float))
             )
             g_pass = laplacian_pass(g)
             for v, w in g.non_adjacent_pairs():
@@ -292,7 +303,7 @@ class TestSivOracle:
                     after = g.add_edge(v, w, parity)
                     evs2 = np.sort(
                         np.linalg.eigvalsh(
-                            np.array(signed_laplacian(after).rows, dtype=float)
+                            np.array(signed_laplacian(after), dtype=float)
                         )
                     )
                     verdict = siv_oracle(g, v, w, parity, *g_pass)
@@ -396,6 +407,13 @@ class TestVerifyShiftIdentity:
     def test_polynomial_after_solves_the_identity(self):
         assert polynomial_after(IntPoly.of(0, 3, -4, 1), SivVerdict("type1", lam=1)) == IntPoly.of(0, 9, -6, 1)
         assert polynomial_after(IntPoly.of(0, 0, -2, 1), SivVerdict("type2", s=2, p=0)) == IntPoly.of(0, 3, -4, 1)
+        # the written-out q(x - 1) against the composition, over a grid of s, rho
+        for s in range(-3, 9):
+            for rho in range(-5, 11):
+                q = IntPoly.of(rho, -s, 1)
+                p = q * IntPoly.from_roots([0, s, rho])
+                expected = (p * q.shifted(-1)).div_exact(q)
+                assert polynomial_after(p, SivVerdict("type2", s=s, p=rho)) == expected
         with pytest.raises(ValueError):
             polynomial_after(IntPoly.x(), SivVerdict("none"))
 
