@@ -23,7 +23,6 @@ from .spectra import (
     laplacian_char_poly,
     laplacian_pass,
     polynomial_after,
-    signed_laplacian,
     siv_oracle,
 )
 
@@ -239,7 +238,7 @@ def substitution_spectrum(
     m_matrix = tuple(rows)
     shifted = IntPoly.one()
     for q in order:
-        poly = char_poly(signed_laplacian(parts[q]))
+        poly = laplacian_char_poly(parts[q])
         shifted_poly = poly.shifted(-masses[q])
         shifted = shifted * shifted_poly.div_exact(
             IntPoly((-(lams[q] + masses[q]), 1))
@@ -397,7 +396,7 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
 
     The Laplacian polynomial is carried from step to step by each verdict's
     own identity, so the oracle reads each step from Krylov moments and runs
-    no Faddeev-LeVerrier pass; one pass on the final graph checks the chain.
+    no Faddeev-LeVerrier pass; char_poly of the final graph checks the chain.
     """
     if not is_sigma_completable(g, target):
         raise ValueError("graph is not integrally completable toward the target")

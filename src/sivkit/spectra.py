@@ -1,13 +1,14 @@
 """Exact integer linear algebra for signed Laplacians.
 
-Characteristic polynomials are computed division-free over the integers, and
-the edge-addition oracle decides integral spectral shifts purely through
+Characteristic polynomials are computed exactly over the integers, and the
+edge-addition oracle decides integral spectral shifts purely through
 polynomial identities, independent of any combinatorial characterization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -37,7 +38,9 @@ def faddeev_leverrier(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[
     """Coefficients of det(xI - m), ascending, and the matrices B_0..B_{n-1}
     with adj(xI - m) = sum of B_k x^(n-1-k), for a square matrix m given as
     rows.  Each entry is read through int once, so a matrix of fixed-width
-    integers (numpy int64, say) is still computed exactly.
+    integers (numpy int64, say) is still computed exactly.  This pass serves
+    the adjugate that laplacian_pass hands to siv_oracle; char_poly, which
+    needs only the coefficients, takes the cheaper power-sum route.
 
     Division-free over the integers: B_0 = I, B_k = m B_(k-1) + c_(n-k) I and
     c_(n-k) = -tr(m B_(k-1)) / k, where every division is exact.  Each B_k is
@@ -57,7 +60,7 @@ def faddeev_leverrier(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[
     for k in range(1, n + 1):
         t = sum(mk[i][i] for i in range(n))
         if t % k:
-            raise ArithmeticError("inexact trace division in char_poly")
+            raise ArithmeticError("inexact trace division in faddeev_leverrier")
         c = -(t // k)
         coeffs[n - k] = c
         if k < n:
@@ -70,8 +73,49 @@ def faddeev_leverrier(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[
 
 def char_poly(m: Sequence[Sequence[int]]) -> IntPoly:
     """det(xI - m) for a square matrix of integer rows, monic with exact
-    integer coefficients."""
-    return IntPoly(tuple(faddeev_leverrier(m)[0]))
+    integer coefficients.  Each entry is read through int once.
+
+    From the power sums p_k = tr(m^k) by Newton's identities,
+    k c_(n-k) = -sum over i = 1..k of p_i c_(n-k+i), every division exact.
+    Only m^1..m^h with h = ceil(n/2) are formed: tr(m^(a+b)) is the sum over
+    i, j of (m^a)_ij (m^b)_ji, so p_k is one flat dot product of m^a with the
+    transpose of m^b for a = floor(k/2) and b = k - a.  When m is symmetric
+    (every Laplacian is), so is each power: only the entries on and above
+    the diagonal are multiplied out, and m^b is its own transpose.
+    """
+    rows = [tuple(map(int, row)) for row in m]
+    n = len(rows)
+    if n == 0:
+        raise ValueError("matrix must have at least one row")
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    cols = list(zip(*rows))
+    symmetric = cols == rows
+    powers = [rows]  # powers[k - 1] = m^k
+    for _ in range((n + 1) // 2 - 1):
+        if symmetric:
+            # row i: the mirrored entries of the rows above, then the dot
+            # products with rows i..n-1, which are m's columns i..n-1
+            power: list = []
+            for i, row in enumerate(powers[-1]):
+                power.append([r[i] for r in power] + [sum(map(mul, row, col)) for col in rows[i:]])
+        else:
+            power = [[sum(map(mul, row, col)) for col in cols] for row in powers[-1]]
+        powers.append(power)
+    flat = [list(chain.from_iterable(pw)) for pw in powers]
+    flat_t = flat if symmetric else [list(chain.from_iterable(zip(*pw))) for pw in powers]
+    sums = [0, sum(rows[i][i] for i in range(n))]  # sums[k] = tr(m^k)
+    for k in range(2, n + 1):
+        a = k // 2
+        sums.append(sum(map(mul, flat[a - 1], flat_t[k - a - 1])))
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    for k in range(1, n + 1):
+        t = sum(map(mul, sums[1 : k + 1], coeffs[n - k + 1 :]))
+        if t % k:
+            raise ArithmeticError("inexact power-sum division in char_poly")
+        coeffs[n - k] = -(t // k)
+    return IntPoly(tuple(coeffs))
 
 
 def _iroot(value: int, k: int) -> int:

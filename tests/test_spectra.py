@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +28,7 @@ from sivkit.spectra import (
     _divisors,
     _iroot,
     _root_bound,
+    faddeev_leverrier,
     polynomial_after,
 )
 from sivkit.fileio import MAX_VERTICES
@@ -112,6 +116,64 @@ class TestCharPoly:
                     min_size=3, max_size=3))
     def test_random_matrices_match_expansion(self, rows):
         assert char_poly(rows) == leibniz_char_poly(rows)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_power_sums_match_faddeev_leverrier(self, data):
+        n = data.draw(st.integers(1, 14), label="n")
+        entries = st.integers(-(10**6), 10**6)
+        m = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=n, max_size=n), label="m")
+        if data.draw(st.booleans(), label="symmetrise"):
+            m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        p = char_poly(m)
+        assert list(p.coeffs) == faddeev_leverrier(m)[0]
+        if n <= 5:
+            assert p == leibniz_char_poly(m)
+
+    def test_symmetric_but_one_entry(self):
+        # the mirrored half-product must not be taken for this matrix
+        rng = random.Random(13)
+        n = 6
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-9, 9)
+        m[n - 1][0] += 1
+        p = char_poly(m)
+        assert p == leibniz_char_poly(m)
+        assert list(p.coeffs) == faddeev_leverrier(m)[0]
+
+    def test_strictly_upper_triangular_is_x_to_the_n(self):
+        # every power sum tr(m^k) is 0
+        n = 9
+        m = [[(i + 2 * j) * (-1) ** j if j > i else 0 for j in range(n)] for i in range(n)]
+        assert char_poly(m) == IntPoly.from_roots([0] * n)
+
+    @pytest.mark.parametrize("m, expected", [
+        (((5,),), IntPoly.of(-5, 1)),
+        (((-3,),), IntPoly.of(3, 1)),
+        (((1, 2), (3, 4)), IntPoly.of(-2, -5, 1)),
+        (((2, -1), (-1, 2)), IntPoly.of(3, -4, 1)),  # (x-1)(x-3)
+    ])
+    def test_one_and_two_rows_form_no_product(self, m, expected):
+        assert char_poly(m) == expected
+        assert char_poly(m) == leibniz_char_poly(m)
+
+    def test_signed_complete_at_the_vertex_cap(self):
+        rng = random.Random(38)
+        n = MAX_VERTICES
+        odd = [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+        L = signed_laplacian(SignedGraph.complete(n, odd))
+        assert list(char_poly(L).coeffs) == faddeev_leverrier(L)[0]
+
+    def test_switched_all_even_complete_at_the_vertex_cap(self):
+        n = MAX_VERTICES
+        g = switch_at(SignedGraph.complete(n), range(1, n, 3))
+        L = signed_laplacian(g)
+        p = char_poly(L)
+        assert p == IntPoly.from_roots([0] + [n] * (n - 1))
+        assert list(p.coeffs) == faddeev_leverrier(L)[0]
 
 
 class TestIntegerSpectrum:
