@@ -24,11 +24,11 @@ from .completion import (
     x_set,
     y_set,
 )
-from .enumeration import iter_signed_graphs, random_signed_graph
+from .enumeration import cross_check, iter_signed_graphs, random_signed_graph
 from .fileio import MAX_VERTICES, load_sg, load_sk
 from .graphs import EVEN, ODD, switching_normal_form
 from .sivcheck import classify
-from .spectra import integer_spectrum, laplacian_char_poly, laplacian_pass, siv_oracle
+from .spectra import integer_spectrum, laplacian_char_poly, siv_oracle
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,22 +123,16 @@ def run_plan(args: argparse.Namespace) -> int:
 
 
 def _tally_graphs(graphs) -> Counter:
-    """Classify every edge addition of every graph against the oracle, on
-    one Faddeev-LeVerrier pass per graph that has an addition."""
+    """Verdict kinds, instances and mismatches of cross_check over graphs."""
     tally: Counter = Counter()
     for g in graphs:
-        pairs = list(g.non_adjacent_pairs())
-        if not pairs:
-            continue
-        p, adjugate = laplacian_pass(g)
-        for v, w in pairs:
-            for parity in (EVEN, ODD):
-                tally["instances"] += 1
-                verdict = classify(g, v, w, parity)
-                oracle = siv_oracle(g, v, w, parity, p, adjugate)
-                tally[verdict.kind] += 1
-                if verdict.params != oracle.params:
-                    tally["mismatches"] += 1
+        if len(g.edges) == g.n * (g.n - 1) // 2:
+            continue  # complete: no addition, so no pass
+        for *_, verdict, oracle in cross_check(g)[1]:
+            tally["instances"] += 1
+            tally[verdict.kind] += 1
+            if verdict.params != oracle.params:
+                tally["mismatches"] += 1
     return tally
 
 

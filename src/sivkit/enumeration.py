@@ -1,4 +1,5 @@
-"""Exhaustive and randomized generators over small signed graphs."""
+"""Exhaustive and randomized generators over small signed graphs, and the
+sweep that cross-checks classify against siv_oracle on every edge addition."""
 
 from __future__ import annotations
 
@@ -6,7 +7,10 @@ import random
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Edge, SignedGraph
+from .graphs import EVEN, ODD, Edge, SignedGraph
+from .polynomials import IntPoly
+from .sivcheck import classify
+from .spectra import SivVerdict, laplacian_pass, siv_oracle
 
 
 def all_pairs(n: int) -> list[Edge]:
@@ -37,3 +41,16 @@ def random_signed_graph(
     edges = frozenset(e for e in all_pairs(n) if rng.random() < edge_prob)
     odd = frozenset(e for e in edges if rng.random() < 0.5)
     return SignedGraph(n, edges, odd)
+
+
+def cross_check(g: SignedGraph) -> tuple[IntPoly, list[tuple[int, int, str, SivVerdict, SivVerdict]]]:
+    """g's Laplacian polynomial p and every edge addition to g, as
+    (v, w, parity, classify's verdict, siv_oracle's verdict): each
+    non-adjacent pair, even before odd.  One Faddeev-LeVerrier pass serves
+    every siv_oracle call."""
+    p, adjugate = laplacian_pass(g)
+    return p, [
+        (v, w, parity, classify(g, v, w, parity), siv_oracle(g, v, w, parity, p, adjugate))
+        for v, w in g.non_adjacent_pairs()
+        for parity in (EVEN, ODD)
+    ]

@@ -300,18 +300,18 @@ def _addition_delta(
     edge vw, with ascending coefficients like p.
 
     With the adjugate matrices of g's Faddeev-LeVerrier pass, delta is read
-    off their diagonals; without p, that pass is run here.  With p =
-    det(xI - L) alone, delta comes from the Krylov moments mu_i = u^T L^i u
-    instead: adj(xI - L) is the sum of B_k x^(n-1-k) with B_k = sum over
-    j <= k of c_(n-j) L^(k-j), so the x^(n-1-k) coefficient of delta is
-    -sum over j <= k of c_(n-j) mu_(k-j).  With y_0 = u and y_(i+1) = L y_i,
-    mu_(2i) = y_i.y_i and mu_(2i+1) = y_i.y_(i+1): about n/2
-    matrix-vector products and no pass.
+    off their diagonals.  Otherwise it comes from the Krylov moments
+    mu_i = u^T L^i u and p = det(xI - L), taken from laplacian_char_poly
+    when not given: adj(xI - L) is the sum of B_k x^(n-1-k) with B_k = sum
+    over j <= k of c_(n-j) L^(k-j), so the x^(n-1-k) coefficient of delta
+    is -sum over j <= k of c_(n-j) mu_(k-j).  With y_0 = u and
+    y_(i+1) = L y_i, mu_(2i) = y_i.y_i and mu_(2i+1) = y_i.y_(i+1): about
+    n/2 matrix-vector products and no pass.
     """
     if p is None:
         if adjugate is not None:
             raise ValueError("adjugate matrices given without their polynomial")
-        p, adjugate = laplacian_pass(g)
+        p = laplacian_char_poly(g)
     n = g.n
     if p.degree != n:
         raise ValueError(f"polynomial of degree {p.degree} given for {n} vertices")
@@ -350,13 +350,13 @@ def siv_oracle(
 
       delta = p' - p = -u^T adj(xI - L) u
 
-    (never zero: its x^(n-1) coefficient is -u^T u = -2).  delta is read off
-    the adjugate matrices of g's Faddeev-LeVerrier pass: a caller that asks
-    about many additions to g runs laplacian_pass(g) once and passes both
-    results as p and adjugate; without them the pass runs here.  A caller
-    that holds only g's polynomial passes it as p, and delta comes from the
-    Krylov moments u^T L^i u instead (see _addition_delta).  All three forms
-    give the same verdict.  Then
+    (never zero: its x^(n-1) coefficient is -u^T u = -2).  delta has two
+    evaluations (see _addition_delta).  A caller that asks about many
+    additions to g runs laplacian_pass(g) once and passes both results as p
+    and adjugate, and delta is read off the adjugate matrices.  Any other
+    caller passes g's polynomial as p, or nothing and laplacian_char_poly
+    supplies it, and delta comes from the Krylov moments u^T L^i u.  Both
+    evaluations give the same verdict.  Then
 
       * one eigenvalue lam rises by 2  iff  x*delta + 2p == lam*delta, and
       * two eigenvalues rise by 1 with sum s and product rho  iff
@@ -373,9 +373,9 @@ def siv_oracle(
     # Both evaluations stay.  A sweep asks about every pair of a graph, and
     # there one O(n^4) pass serves them all: reading every delta from
     # moments (after the same pass for p) made the benchmark's sampled sweep
-    # 2.4x and its exhaustive n <= 4 sweep 1.5x slower.  A plan asks about
-    # one pair per graph and carries p, and there the O(n^3) moments
-    # replace a pass per step.
+    # 2.4x and its exhaustive n <= 4 sweep 1.5x slower.  A plan carries p
+    # and a single question takes it from char_poly; there the O(n^3)
+    # moments replace a pass per question.
     p, delta = _addition_delta(g, v, w, parity, p, adjugate)
     pc = p.coeffs
 

@@ -29,7 +29,6 @@ from sivkit import (
     is_plain_integrally_completable,
     is_sigma_completable,
     laplacian_char_poly,
-    laplacian_pass,
     make_centered,
     plan_completion,
     siv_oracle,
@@ -44,7 +43,8 @@ from sivkit import (
 from sivkit.cli import main
 from sivkit.enumeration import (
     all_pairs,
-    iter_signings,
+    cross_check,
+    iter_signed_graphs,
     iter_subsets,
     random_signed_graph,
 )
@@ -71,10 +71,6 @@ def encode(verdict) -> tuple[int, int, int]:
     return (0, 0, 0)
 
 
-def slots_for(n: int, edges: frozenset) -> tuple[tuple[int, int], ...]:
-    return tuple(e for e in all_pairs(n) if e not in edges)
-
-
 def to_even_instance(g: SignedGraph, v: int, w: int, parity: str) -> SignedGraph:
     """Reduce an odd addition to the even one on the switched graph."""
     if parity == EVEN:
@@ -98,28 +94,18 @@ def survey() -> Survey:
     out = Survey()
     for n in range(1, 6):
         table: dict = {}
-        for edges in iter_subsets(all_pairs(n)):
-            slots = slots_for(n, edges)
-            for g in iter_signings(n, edges):
-                p, adjugate = laplacian_pass(g)
-                out.polys[g] = p
-                flat: list[int] = []
-                for v, w in slots:
-                    for parity in (EVEN, ODD):
-                        out.exhaustive_instances += 1
-                        verdict = classify(g, v, w, parity)
-                        oracle = siv_oracle(g, v, w, parity, p, adjugate)
-                        out.counts[verdict.kind] += 1
-                        if verdict.params != oracle.params:
-                            out.mismatches.append(
-                                (g, v, w, parity, verdict.params, oracle.params)
-                            )
-                        flat.extend(encode(verdict))
-                        if verdict.kind == "type2":
-                            out.type2_instances.append(
-                                (g, v, w, parity, verdict.s, verdict.p)
-                            )
-                table[g] = tuple(flat)
+        for g in iter_signed_graphs(n):
+            out.polys[g], decided = cross_check(g)
+            flat: list[int] = []
+            for v, w, parity, verdict, oracle in decided:
+                out.exhaustive_instances += 1
+                out.counts[verdict.kind] += 1
+                if verdict.params != oracle.params:
+                    out.mismatches.append((g, v, w, parity, verdict.params, oracle.params))
+                flat.extend(encode(verdict))
+                if verdict.kind == "type2":
+                    out.type2_instances.append((g, v, w, parity, verdict.s, verdict.p))
+            table[g] = tuple(flat)
         out.verdict_tables[n] = table
     rng = random.Random(SEED)
     for n in (6, 7):
@@ -129,11 +115,10 @@ def survey() -> Survey:
             if not missing:
                 continue
             v, w = rng.choice(missing)
-            g_pass = laplacian_pass(g)
             for parity in (EVEN, ODD):
                 out.random_instances += 1
                 verdict = classify(g, v, w, parity)
-                oracle = siv_oracle(g, v, w, parity, *g_pass)
+                oracle = siv_oracle(g, v, w, parity)
                 if verdict.params != oracle.params:
                     out.mismatches.append(
                         (g, v, w, parity, verdict.params, oracle.params)
@@ -208,7 +193,6 @@ def test_criterion_04_switching_invariance(survey):
     for n in range(1, 6):
         table = survey.verdict_tables[n]
         for g, verd in table.items():
-            slots = slots_for(n, g.edges)
             base_poly = survey.polys[g]
             for u in g.vertices:
                 gs = switch_at(g, {u})
@@ -216,7 +200,7 @@ def test_criterion_04_switching_invariance(survey):
                 if survey.polys[gs] != base_poly:
                     poly_bad += 1
                 verd2 = table[gs]
-                for si, (v, w) in enumerate(slots):
+                for si, (v, w) in enumerate(g.non_adjacent_pairs()):
                     flip = 1 if (v == u) != (w == u) else 0
                     for pi in (0, 1):
                         j1 = (si * 2 + pi) * 3
@@ -237,7 +221,7 @@ def test_criterion_04_switching_invariance(survey):
         if survey.polys[gs] != survey.polys[g]:
             poly_bad += 1
         verd, verd2 = survey.verdict_tables[5][g], survey.verdict_tables[5][gs]
-        for si, (v, w) in enumerate(slots_for(5, g.edges)):
+        for si, (v, w) in enumerate(g.non_adjacent_pairs()):
             flip = 1 if (v in s) != (w in s) else 0
             for pi in (0, 1):
                 j1 = (si * 2 + pi) * 3

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sivkit
 from sivkit import EVEN, ODD, SignedComplete, SignedGraph, SivVerdict, dumps_sg, dumps_sk, switch_at
-from sivkit import cli, completion, spectra
+from sivkit import completion, enumeration, spectra
 from sivkit.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from sivkit.fileio import MAX_VERTICES
 
@@ -401,7 +401,7 @@ class TestEnumerate:
             passes.append(g)
             return spectra.laplacian_pass(g)
 
-        monkeypatch.setattr(cli, "laplacian_pass", counting)
+        monkeypatch.setattr(enumeration, "laplacian_pass", counting)
         assert main(["enumerate", "--n-limit", "3", "--json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["mismatches"] == 0
         # 27 signed graphs on 3 vertices, less the 8 complete ones

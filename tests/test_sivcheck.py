@@ -11,12 +11,13 @@ from sivkit import (
     check_type1,
     check_type2,
     classify,
-    laplacian_pass,
+    laplacian_char_poly,
     make_centered,
     siv_oracle,
     switch_at,
 )
-from sivkit.enumeration import iter_signed_graphs
+from sivkit import spectra
+from sivkit.enumeration import cross_check, iter_signed_graphs
 
 from conftest import (
     centered_form_type2,
@@ -237,16 +238,29 @@ class TestOracleEquivalenceSampled:
 
     def test_classify_matches_oracle_n6_sample(self):
         for g in random_graphs(seed=77, count=300, n=6):
-            pairs = list(g.non_adjacent_pairs())
-            if not pairs:
-                continue
-            v, w = pairs[0]
-            g_pass = laplacian_pass(g)
-            for parity in (EVEN, ODD):
-                assert (
-                    classify(g, v, w, parity).params
-                    == siv_oracle(g, v, w, parity, *g_pass).params
-                )
+            for *_, verdict, oracle in cross_check(g)[1]:
+                assert verdict.params == oracle.params
+
+
+class TestCrossCheck:
+    """The sweep engine against the single-question calls, which run no
+    pass: its p against char_poly's, its adjugate route against moments."""
+
+    def test_matches_single_questions(self):
+        graphs = [g for n in range(1, 5) for g in iter_signed_graphs(n)]
+        graphs += [g for n in range(5, 13) for g in random_graphs(seed=700 + n, count=4, n=n)]
+        for g in graphs:
+            assert cross_check(g) == (laplacian_char_poly(g), [
+                (v, w, parity, classify(g, v, w, parity), siv_oracle(g, v, w, parity))
+                for v, w in g.non_adjacent_pairs()
+                for parity in (EVEN, ODD)
+            ]), g
+
+    def test_single_question_runs_no_pass(self, monkeypatch):
+        swept = [(g, *d) for g in iter_signed_graphs(4) for d in cross_check(g)[1]]
+        monkeypatch.setattr(spectra, "faddeev_leverrier", None)  # a call raises TypeError
+        for g, v, w, parity, _, oracle in swept:
+            assert siv_oracle(g, v, w, parity) == oracle
 
 
 class TestOnePassAgainstCenteredForm:

@@ -21,7 +21,7 @@ from sivkit import (
     switch_at,
     verify_shift_identity,
 )
-from sivkit.enumeration import iter_signed_graphs
+from sivkit.enumeration import cross_check, iter_signed_graphs
 from sivkit.spectra import (
     IntegerSpectrum,
     _addition_delta,
@@ -356,28 +356,19 @@ class TestSivOracle:
         graphs = list(iter_signed_graphs(4))
         graphs += list(random_graphs(seed=5, count=400, n=5))
         for g in graphs:
-            evs = np.sort(
-                np.linalg.eigvalsh(np.array(signed_laplacian(g), dtype=float))
-            )
-            g_pass = laplacian_pass(g)
-            for v, w in g.non_adjacent_pairs():
-                for parity in (EVEN, ODD):
-                    after = g.add_edge(v, w, parity)
-                    evs2 = np.sort(
-                        np.linalg.eigvalsh(
-                            np.array(signed_laplacian(after), dtype=float)
-                        )
-                    )
-                    verdict = siv_oracle(g, v, w, parity, *g_pass)
-                    if verdict.kind == "type1":
-                        assert _bumped_matches(evs, evs2, [(verdict.lam, 2.0)])
-                    elif verdict.kind == "type2":
-                        disc = verdict.s * verdict.s - 4 * verdict.p
-                        root = disc ** 0.5
-                        lo, hi = (verdict.s - root) / 2, (verdict.s + root) / 2
-                        assert _bumped_matches(evs, evs2, [(lo, 1.0), (hi, 1.0)])
-                    else:
-                        assert not _any_integral_shift(evs, evs2), (g, v, w, parity)
+            evs = np.sort(np.linalg.eigvalsh(np.array(signed_laplacian(g), dtype=float)))
+            for v, w, parity, _, verdict in cross_check(g)[1]:
+                after = signed_laplacian(g.add_edge(v, w, parity))
+                evs2 = np.sort(np.linalg.eigvalsh(np.array(after, dtype=float)))
+                if verdict.kind == "type1":
+                    assert _bumped_matches(evs, evs2, [(verdict.lam, 2.0)])
+                elif verdict.kind == "type2":
+                    disc = verdict.s * verdict.s - 4 * verdict.p
+                    root = disc ** 0.5
+                    lo, hi = (verdict.s - root) / 2, (verdict.s + root) / 2
+                    assert _bumped_matches(evs, evs2, [(lo, 1.0), (hi, 1.0)])
+                else:
+                    assert not _any_integral_shift(evs, evs2), (g, v, w, parity)
 
 
 def _additions(g):
@@ -414,11 +405,11 @@ class TestDerivedAdditionPolynomials:
                 assert _derived_after(g, v, w, parity, g_pass) == leibniz_char_poly(after), (g, v, w, parity)
 
     def test_moments_match_the_pass(self):
-        # A caller that passes p alone gets delta from Krylov moments
-        # u^T L^i u instead of the adjugate diagonals, and a caller that
-        # passes neither gets a pass of its own: every addition of the seeded
-        # graphs, plus dense graphs at the vertex cap, where the call forms
-        # that run a pass per addition are checked on the first one only.
+        # A caller that passes p, or neither p nor the adjugate, gets delta
+        # from Krylov moments u^T L^i u instead of the adjugate diagonals:
+        # every addition of the seeded graphs, plus dense graphs at the
+        # vertex cap, where the call forms that compute a polynomial per
+        # addition are checked on the first one only.
         graphs = [g for n in range(2, 13) for g in random_graphs(seed=100 + n, count=3, n=n, edge_prob=0.4)]
         graphs += list(random_graphs(seed=31, count=2, n=MAX_VERTICES, edge_prob=0.95))
         for g in graphs:
