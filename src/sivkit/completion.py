@@ -86,14 +86,21 @@ def _require_order_at_least_four(t: SignedComplete) -> None:
 
 
 def _odd_triangle_pair_counts(t: SignedComplete) -> dict[Edge, int]:
-    """Number of odd triangles through each vertex pair."""
-    counts: dict[Edge, int] = {e: 0 for e in t.all_edges()}
-    for u, v, w in combinations(t.vertices, 3):
-        odd = sum(1 for e in ((u, v), (u, w), (v, w)) if e in t.odd)
-        if odd % 2:
-            counts[(u, v)] += 1
-            counts[(u, w)] += 1
-            counts[(v, w)] += 1
+    """Number of odd triangles through each vertex pair.
+
+    With O_x the bitmask of x's odd neighbours, a third vertex z joins u and
+    v by edges of different parity exactly at the bits of O_u ^ O_v other
+    than u and v; say d of them.  The triangle uvz is odd at those d vertices
+    when uv is even, and at the other n - 2 - d when uv is odd.
+    """
+    odd_mask = [0] * (t.n + 1)
+    for u, v in t.odd:
+        odd_mask[u] |= 1 << v
+        odd_mask[v] |= 1 << u
+    counts: dict[Edge, int] = {}
+    for u, v in t.all_edges():
+        d = ((odd_mask[u] ^ odd_mask[v]) & ~((1 << u) | (1 << v))).bit_count()
+        counts[(u, v)] = t.n - 2 - d if (u, v) in t.odd else d
     return counts
 
 
@@ -395,8 +402,10 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
     its own verified oracle verdict.
 
     The Laplacian polynomial is carried from step to step by each verdict's
-    own identity, so the oracle reads each step from Krylov moments and runs
-    no Faddeev-LeVerrier pass; char_poly of the final graph checks the chain.
+    own identity, so the oracle reads each step from one or two products L y
+    (every step is positive, so u spans an L-invariant line or plane) and
+    runs no Faddeev-LeVerrier pass; char_poly of the final graph checks the
+    chain.
     """
     if not is_sigma_completable(g, target):
         raise ValueError("graph is not integrally completable toward the target")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 Edge = tuple[int, int]
 
@@ -91,8 +91,11 @@ class SignedGraph:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
 
-    def adjacency(self, v: int) -> dict[int, bool]:
-        """Neighbors of v mapped to True when the joining edge is odd."""
+    def adjacency(self, v: int) -> Mapping[int, bool]:
+        """Neighbors of v mapped to True when the joining edge is odd.
+
+        The mapping is shared with this graph, and with graphs made from it
+        by add_edge, so it is typed read-only and must not be mutated."""
         self._check_vertex(v)
         return self._adj[v]
 
@@ -119,12 +122,22 @@ class SignedGraph:
         return ODD if self.is_odd_edge(u, v) else EVEN
 
     def add_edge(self, u: int, v: int, parity: str) -> SignedGraph:
+        """This graph plus the edge uv of the given parity.
+
+        The child's adjacency is this graph's with rows u and v copied, so
+        the other rows are shared.
+        """
         _check_parity(parity)
         e = edge(u, v)
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u},{v}) already present")
-        odd = self.odd | {e} if parity == ODD else self.odd
-        return SignedGraph(self.n, self.edges | {e}, odd)
+        is_odd = parity == ODD
+        child = SignedGraph(self.n, self.edges | {e}, self.odd | {e} if is_odd else self.odd)
+        adj = dict(self._adj)
+        adj[u] = {**adj[u], v: is_odd}
+        adj[v] = {**adj[v], u: is_odd}
+        vars(child)["_adj"] = adj  # fills the cached property
+        return child
 
     def remove_edge(self, u: int, v: int) -> SignedGraph:
         e = edge(u, v)

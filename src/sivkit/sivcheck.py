@@ -11,6 +11,7 @@ quadratic integer ring generated by the shifted eigenvalue pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .graphs import (
     EVEN,
@@ -24,7 +25,7 @@ from .graphs import (
 from .spectra import NONE, TYPE1, TYPE2, SivVerdict
 
 
-def _same_signed_neighbors(av: dict[int, bool], aw: dict[int, bool], flipped: bool) -> bool:
+def _same_signed_neighbors(av: Mapping[int, bool], aw: Mapping[int, bool], flipped: bool) -> bool:
     """Equal adjacency dicts, or (flipped) equal keys with every parity swapped."""
     if not flipped:
         return av == aw

@@ -288,6 +288,56 @@ def polynomial_after(p: IntPoly, verdict: SivVerdict) -> IntPoly:
     return (p * h).div_exact(f)
 
 
+def _laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
+    """L y for g's signed Laplacian L, with y and the result given by their
+    nonzero entries (vertex -> value).  Each entry y_j adds column j of L:
+    deg(j) y_j at j, and -y_j or +y_j at each even or odd neighbour of j.  So
+    the product costs the degrees summed over y's support, and no row of L
+    is built."""
+    out: dict[int, int] = {}
+    for j, c in y.items():
+        adj = g.adjacency(j)
+        out[j] = out.get(j, 0) + len(adj) * c
+        for x, is_odd in adj.items():
+            out[x] = out.get(x, 0) + (c if is_odd else -c)
+    return {x: c for x, c in out.items() if c}
+
+
+def _krylov_factor(
+    g: SignedGraph, v: int, w: int, parity: str
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(m, r), ascending, with u^T (xI - L)^-1 u = r / m, when u spans an
+    L-invariant line or plane; None for any other u.  m is monic: x - lam
+    when L u = lam u, with r = 2; x^2 - a x - b when L^2 u = a L u + b u,
+    with r = 2x + (mu_1 - 2a) and mu_1 = u^T L u.  m divides the minimal
+    polynomial of the integer matrix L, so a and b are integers (Gauss's
+    lemma): a is read by division at an entry of L u outside v and w, where u
+    is 0, b at v, and the plane is then checked entry by entry.  A type-1
+    addition has such a line and a type-2 addition such a plane, so every
+    plan step is decided here from one or two products L y.
+    """
+    u = {v: 1, w: 1 if parity == ODD else -1}
+    y1 = _laplacian_times(g, u)
+    lam = y1.get(v, 0)
+    if all(y1.get(x, 0) == lam * u.get(x, 0) for x in y1.keys() | u.keys()):
+        return (-lam, 1), (2,)
+    i = next((x for x in y1 if x != v and x != w), None)
+    if i is None:
+        return None
+    y2 = _laplacian_times(g, y1)
+    a, r = divmod(y2.get(i, 0), y1[i])
+    if r:
+        return None
+    b = y2.get(v, 0) - a * y1.get(v, 0)
+    if any(
+        y2.get(x, 0) != a * y1.get(x, 0) + b * u.get(x, 0)
+        for x in y2.keys() | y1.keys() | u.keys()
+    ):
+        return None
+    mu1 = sum(c * y1.get(x, 0) for x, c in u.items())
+    return (-b, -a, 1), (mu1 - 2 * a, 2)
+
+
 def _addition_delta(
     g: SignedGraph,
     v: int,
@@ -300,13 +350,16 @@ def _addition_delta(
     edge vw, with ascending coefficients like p.
 
     With the adjugate matrices of g's Faddeev-LeVerrier pass, delta is read
-    off their diagonals.  Otherwise it comes from the Krylov moments
-    mu_i = u^T L^i u and p = det(xI - L), taken from laplacian_char_poly
-    when not given: adj(xI - L) is the sum of B_k x^(n-1-k) with B_k = sum
-    over j <= k of c_(n-j) L^(k-j), so the x^(n-1-k) coefficient of delta
-    is -sum over j <= k of c_(n-j) mu_(k-j).  With y_0 = u and
-    y_(i+1) = L y_i, mu_(2i) = y_i.y_i and mu_(2i+1) = y_i.y_(i+1): about
-    n/2 matrix-vector products and no pass.
+    off their diagonals.  Otherwise p is taken from laplacian_char_poly when
+    not given, and adj(xI - L) = p(x) (xI - L)^-1.  When u spans an
+    L-invariant line or plane (_krylov_factor), u^T (xI - L)^-1 u = r / m, so
+    delta = -(p / m) r by one exact division: m divides p.  For any other u,
+    delta comes from the Krylov moments mu_i = u^T L^i u: adj(xI - L) is the
+    sum of B_k x^(n-1-k) with B_k = sum over j <= k of c_(n-j) L^(k-j), so
+    the x^(n-1-k) coefficient of delta is -sum over j <= k of
+    c_(n-j) mu_(k-j).  With y_0 = u and y_(i+1) = L y_i, mu_(2i) = y_i.y_i
+    and mu_(2i+1) = y_i.y_(i+1): about n/2 sparse matrix-vector products
+    (_laplacian_times) and no pass.
     """
     if p is None:
         if adjugate is not None:
@@ -320,15 +373,24 @@ def _addition_delta(
         cross = 2 if parity == ODD else -2
         # adjugate[k] multiplies x^(n-1-k)
         return p, [-(b[vi][vi] + b[wi][wi] + cross * b[vi][wi]) for b in reversed(adjugate)]
-    rows = signed_laplacian(g)
-    y = [0] * n
-    y[vi], y[wi] = 1, 1 if parity == ODD else -1
+    krylov = _krylov_factor(g, v, w, parity)
+    if krylov is not None:
+        m, r = krylov
+        try:
+            q = p.div_exact(IntPoly(m))
+        except ValueError as exc:
+            raise ArithmeticError(
+                "the polynomial is not divisible by the minimal polynomial of u"
+            ) from exc
+        # q r has degree n - 1 and leading coefficient 2, so n coefficients.
+        return p, [-c for c in (q * IntPoly(r)).coeffs]
+    y = {v: 1, w: 1 if parity == ODD else -1}
     mu = [2]  # u.u
     while len(mu) < n:
-        ly = [sum(map(mul, row, y)) for row in rows]
-        mu.append(sum(map(mul, y, ly)))
+        ly = _laplacian_times(g, y)
+        mu.append(sum(c * ly.get(x, 0) for x, c in y.items()))
         if len(mu) < n:
-            mu.append(sum(map(mul, ly, ly)))
+            mu.append(sum(c * c for c in ly.values()))
         y = ly
     top = p.coeffs[::-1]  # top[j] = c_(n-j)
     return p, [-sum(map(mul, top[: k + 1], mu[k::-1])) for k in reversed(range(n))]
@@ -355,8 +417,10 @@ def siv_oracle(
     additions to g runs laplacian_pass(g) once and passes both results as p
     and adjugate, and delta is read off the adjugate matrices.  Any other
     caller passes g's polynomial as p, or nothing and laplacian_char_poly
-    supplies it, and delta comes from the Krylov moments u^T L^i u.  Both
-    evaluations give the same verdict.  Then
+    supplies it, and delta comes from u's Krylov space: from L u and L^2 u
+    when u spans an L-invariant line or plane, as it does at every positive
+    verdict, and from the moments u^T L^i u otherwise.  Both evaluations
+    give the same verdict.  Then
 
       * one eigenvalue lam rises by 2  iff  x*delta + 2p == lam*delta, and
       * two eigenvalues rise by 1 with sum s and product rho  iff
@@ -374,8 +438,8 @@ def siv_oracle(
     # there one O(n^4) pass serves them all: reading every delta from
     # moments (after the same pass for p) made the benchmark's sampled sweep
     # 2.4x and its exhaustive n <= 4 sweep 1.5x slower.  A plan carries p
-    # and a single question takes it from char_poly; there the O(n^3)
-    # moments replace a pass per question.
+    # and a single question takes it from char_poly; there one or two sparse
+    # products L y, or else the O(n^3) moments, replace a pass per question.
     p, delta = _addition_delta(g, v, w, parity, p, adjugate)
     pc = p.coeffs
 

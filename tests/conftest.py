@@ -5,9 +5,10 @@ determinants come from fraction-free elimination, characteristic polynomials
 from the permanent-style permutation expansion, integer roots from synthetic
 division at every integer of a given range, switching equivalence from
 exhaustive search over all switching sets, the integral-variation
-conditions from switched copies of the graph in centered form, and plain
-completability from a scan of every 4-vertex subset.  Below them are the
-generators and graph edits only tests need.
+conditions from switched copies of the graph in centered form, plain
+completability from a scan of every 4-vertex subset, and odd-triangle counts
+from a scan of every triangle.  Below them are the generators and graph
+edits only tests need.
 """
 
 from __future__ import annotations
@@ -148,6 +149,19 @@ def four_subset_scan_completable(n: int, edges) -> bool:
             if degrees == [1, 1, 2, 2]:
                 return False
     return True
+
+
+def odd_triangle_scan_counts(t: SignedComplete) -> dict[tuple[int, int], int]:
+    """Number of odd triangles through each vertex pair, from a scan of every
+    triangle."""
+    counts = {e: 0 for e in t.all_edges()}
+    for u, v, w in combinations(t.vertices, 3):
+        odd = sum(1 for e in ((u, v), (u, w), (v, w)) if e in t.odd)
+        if odd % 2:
+            counts[(u, v)] += 1
+            counts[(u, w)] += 1
+            counts[(v, w)] += 1
+    return counts
 
 
 def all_switch_sets(n: int):

@@ -31,12 +31,14 @@ from sivkit import (
 )
 from sivkit import completion
 from sivkit.enumeration import all_pairs
+from sivkit.fileio import MAX_VERTICES
 from sivkit.spectra import polynomial_after
 
 from conftest import (
     final_graph,
     four_subset_scan_completable,
     iter_signed_completes,
+    odd_triangle_scan_counts,
     random_signed_complete,
     remove_edges,
 )
@@ -67,6 +69,22 @@ class TestTriangleParity:
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(ValueError):
             triangle_parity(SignedComplete.of(4), 1, 1, 2)
+
+
+class TestOddTrianglePairCounts:
+    """The bitmask counts against a scan of every triangle."""
+
+    def test_every_signed_k4_and_k5(self):
+        for n in (4, 5):
+            for t in iter_signed_completes(n):
+                assert completion._odd_triangle_pair_counts(t) == odd_triangle_scan_counts(t), t
+
+    def test_seeded_targets_up_to_the_vertex_cap(self):
+        rng = random.Random(41)
+        for n in range(6, MAX_VERTICES + 1):
+            for density in (0.1, 0.5, 0.9):
+                t = SignedComplete(n, frozenset(e for e in all_pairs(n) if rng.random() < density))
+                assert completion._odd_triangle_pair_counts(t) == odd_triangle_scan_counts(t), t
 
 
 class TestXSet:

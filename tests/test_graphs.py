@@ -1,3 +1,6 @@
+import re
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,16 +8,23 @@ from hypothesis import strategies as st
 from sivkit import (
     EVEN,
     ODD,
+    SignedComplete,
     SignedGraph,
+    build_type2_eigenvectors,
+    classify,
+    edge_quantities,
+    laplacian_char_poly,
     edge_quantities,
     is_centered,
     make_centered,
     neighborhood_split,
+    plan_completion,
+    siv_oracle,
     switch_at,
     switching_equivalent,
     switching_normal_form,
 )
-from sivkit.enumeration import iter_signed_graphs, iter_signings
+from sivkit.enumeration import cross_check, iter_signed_graphs, iter_signings
 
 from conftest import (
     all_switch_sets,
@@ -66,6 +76,73 @@ class TestSignedGraph:
         assert empty.add_edge(1, 2, ODD) == k2(ODD)
         with pytest.raises(ValueError):
             empty.remove_edge(1, 2)
+
+    @given(graphs_with_nonadjacent_pair(min_n=2, max_n=7))
+    def test_add_edge_matches_a_graph_built_from_scratch(self, case):
+        g, u, v, parity = case
+        before = {x: dict(g.adjacency(x)) for x in g.vertices}
+        child = g.add_edge(u, v, parity)
+        # the parent's adjacency, whose unchanged rows the child shares
+        assert {x: g.adjacency(x) for x in g.vertices} == before
+        odd = g.odd | {(u, v)} if parity == ODD else g.odd
+        scratch = SignedGraph(g.n, g.edges | {(u, v)}, odd)
+        assert child == scratch
+        assert hash(child) == hash(scratch)
+        assert {x: child.adjacency(x) for x in child.vertices} == {
+            x: scratch.adjacency(x) for x in scratch.vertices
+        }
+
+    def test_add_edge_chain_matches_a_graph_built_from_scratch(self):
+        for g in iter_signed_graphs(4):
+            grown = SignedGraph(4, frozenset(), frozenset())
+            for e in sorted(g.edges):
+                grown = grown.add_edge(*e, g.parity(*e))
+            assert grown == g
+            assert all(grown.adjacency(x) == g.adjacency(x) for x in g.vertices)
+
+    @pytest.mark.parametrize(
+        "u, v, parity, message",
+        [
+            (2, 2, EVEN, "loop at vertex 2"),
+            (1, 5, EVEN, "vertex 5 out of range 1..4"),
+            (0, 3, ODD, "vertex 0 out of range 1..4"),
+            (2, 1, ODD, "edge (2,1) already present"),
+            (1, 3, "positive", "parity must be 'even' or 'odd', got 'positive'"),
+            (1, 1, "positive", "parity must be 'even' or 'odd', got 'positive'"),
+        ],
+    )
+    def test_add_edge_refusals(self, u, v, parity, message):
+        g = SignedGraph.of(4, [(1, 2, ODD), (2, 3, EVEN)])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            g.add_edge(u, v, parity)
+
+
+    def test_the_library_never_writes_an_adjacency_row(self, monkeypatch):
+        # add_edge shares the unchanged rows between parent and child, so a
+        # write through one graph would change others.  Serve every row
+        # read-only while the library's readers of adjacency run.
+        adjacency = SignedGraph.adjacency
+        monkeypatch.setattr(
+            SignedGraph, "adjacency", lambda self, v: MappingProxyType(adjacency(self, v))
+        )
+        for g in iter_signed_graphs(4):
+            cross_check(g)
+            switching_normal_form(g)
+            laplacian_char_poly(g)
+            for v, w in g.non_adjacent_pairs():
+                edge_quantities(g, v, w)
+                centered, _ = make_centered(g, v, w)
+                for parity in (EVEN, ODD):
+                    assert siv_oracle(g, v, w, parity).kind == classify(g, v, w, parity).kind
+                    verdict = classify(centered, v, w, parity)
+                    if verdict.kind == "type2":
+                        build_type2_eigenvectors(centered, v, w, verdict)
+        plan_completion(SignedGraph(7, frozenset(), frozenset()), SignedComplete.of(7))
+        # a target whose balanced all-odd edge (1, 2) is missing: a type-2 step
+        odd = [(2, u) for u in range(3, 8)] + [(3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]
+        t = SignedComplete.of(7, odd)
+        plan = plan_completion(t.to_signed_graph().remove_edge(1, 2), t)
+        assert [s.verdict.kind for s in plan.steps] == ["type2"]
 
 
 class TestSwitchAt:

@@ -23,10 +23,13 @@ from sivkit import (
 )
 from sivkit.enumeration import cross_check, iter_signed_graphs
 from sivkit.spectra import (
+    TYPE1,
+    TYPE2,
     IntegerSpectrum,
     _addition_delta,
     _divisors,
     _iroot,
+    _krylov_factor,
     _root_bound,
     faddeev_leverrier,
     polynomial_after,
@@ -406,12 +409,16 @@ class TestDerivedAdditionPolynomials:
 
     def test_moments_match_the_pass(self):
         # A caller that passes p, or neither p nor the adjugate, gets delta
-        # from Krylov moments u^T L^i u instead of the adjugate diagonals:
-        # every addition of the seeded graphs, plus dense graphs at the
-        # vertex cap, where the call forms that compute a polynomial per
-        # addition are checked on the first one only.
+        # from u's Krylov space instead of the adjugate diagonals: the type-1
+        # exit when L u = lam u, the type-2 exit when L^2 u = a L u + b u, and
+        # the moments u^T L^i u otherwise.  Every addition of the seeded
+        # graphs, plus dense graphs at the vertex cap, where the call forms
+        # that compute a polynomial per addition are checked on the first one
+        # only.  A type-1 verdict has an invariant line and a type-2 verdict
+        # an invariant plane, so every positive verdict takes an exit.
         graphs = [g for n in range(2, 13) for g in random_graphs(seed=100 + n, count=3, n=n, edge_prob=0.4)]
         graphs += list(random_graphs(seed=31, count=2, n=MAX_VERTICES, edge_prob=0.95))
+        routes = {"type1": 0, "type2": 0, "moments": 0}
         for g in graphs:
             p, adjugate = laplacian_pass(g)
             additions = list(_additions(g))
@@ -420,10 +427,38 @@ class TestDerivedAdditionPolynomials:
                 assert _addition_delta(g, v, w, parity, p) == by_pass, (g, v, w, parity)
                 params = siv_oracle(g, v, w, parity, p, adjugate).params
                 assert siv_oracle(g, v, w, parity, p).params == params
+                krylov = _krylov_factor(g, v, w, parity)
+                route = "moments" if krylov is None else f"type{len(krylov[0]) - 1}"
+                routes[route] += 1
+                assert (route == "type1") == (params[0] == TYPE1), (g, v, w, parity)
+                if params[0] == TYPE2:
+                    assert route == "type2", (g, v, w, parity)
                 if g.n < MAX_VERTICES or i == 0:
                     assert siv_oracle(g, v, w, parity).params == params
                     after = char_poly(signed_laplacian(g.add_edge(v, w, parity)))
                     assert after - p == IntPoly(tuple(by_pass[1])), (g, v, w, parity)
+        assert min(routes.values()) > 0, routes
+
+    @pytest.mark.parametrize(
+        "g, v, w, parity, dimension",
+        [
+            # u = e_1 - e_3 on the path 1-2-3: L u = u
+            (SignedGraph.all_even(4, [(1, 2), (2, 3)]), 1, 3, EVEN, 1),
+            # u = e_1 - e_3 beside the edge 12: L^2 u = 2 L u, a type-2 plane
+            (SignedGraph.all_even(4, [(1, 2)]), 1, 3, EVEN, 2),
+        ],
+    )
+    def test_polynomial_the_krylov_factor_does_not_divide_raises(self, g, v, w, parity, dimension):
+        # An inexact division is an internal invariant failure (exit 2), not
+        # a refused input.  A wrong polynomial of the right degree reaches
+        # it: x^n is divisible by no monic m with a nonzero root.
+        m, _ = _krylov_factor(g, v, w, parity)
+        assert len(m) - 1 == dimension and any(m[:-1])
+        wrong = IntPoly((0,) * g.n + (1,))
+        with pytest.raises(ArithmeticError):
+            _addition_delta(g, v, w, parity, wrong)
+        with pytest.raises(ArithmeticError):
+            siv_oracle(g, v, w, parity, wrong)
 
     def test_polynomial_of_wrong_degree_refused(self):
         g = SignedGraph.all_even(4, [(1, 2), (2, 3)])
