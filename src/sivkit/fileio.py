@@ -13,12 +13,12 @@ from .graphs import Edge, SignedGraph, edge
 
 # The largest vertex count read from a file or sampled by the CLI.  `plan`
 # toward an all-even target is the binding command: at 38 vertices it takes
-# 1.6-2.1 s from the empty graph, a star or a 4- or 6-clique plus isolated
+# 0.33-0.38 s from the empty graph, a star or a 4- or 6-clique plus isolated
 # vertices, the slowest starts found (in-process, best of two per start in
-# each of three rounds, 2-vCPU Xeon; BENCH_char_poly_powers.json).  At 38
-# every other command takes under 0.4 s: `spectrum` of a signed K38
-# (0.05-0.07 s), `check-siv` on K38 minus an edge, `xy`, `decompose`,
-# `completable`, and a sampled sweep with one graph per order.
+# each of three rounds, 2-vCPU Xeon).  At 38 every other command takes under
+# 0.25 s: `spectrum` of a signed K38 and `check-siv` on K38 minus an edge
+# (0.06 s each), `xy`, `decompose`, `completable` (0.002 s or less), and a
+# sampled sweep of one graph (0.2 s).
 MAX_VERTICES = 38
 
 

@@ -345,55 +345,42 @@ def _addition_delta(
     parity: str,
     p: IntPoly | None = None,
     adjugate: list[list[list[int]]] | None = None,
-) -> tuple[IntPoly, list[int]]:
+) -> tuple[IntPoly, list[int]] | None:
     """g's polynomial p and delta = p' - p = -u^T adj(xI - L) u for adding the
-    edge vw, with ascending coefficients like p.
+    edge vw, with ascending coefficients like p; None when no adjugate is
+    given and u spans no L-invariant line or plane.
 
     With the adjugate matrices of g's Faddeev-LeVerrier pass, delta is read
-    off their diagonals.  Otherwise p is taken from laplacian_char_poly when
-    not given, and adj(xI - L) = p(x) (xI - L)^-1.  When u spans an
-    L-invariant line or plane (_krylov_factor), u^T (xI - L)^-1 u = r / m, so
-    delta = -(p / m) r by one exact division: m divides p.  For any other u,
-    delta comes from the Krylov moments mu_i = u^T L^i u: adj(xI - L) is the
-    sum of B_k x^(n-1-k) with B_k = sum over j <= k of c_(n-j) L^(k-j), so
-    the x^(n-1-k) coefficient of delta is -sum over j <= k of
-    c_(n-j) mu_(k-j).  With y_0 = u and y_(i+1) = L y_i, mu_(2i) = y_i.y_i
-    and mu_(2i+1) = y_i.y_(i+1): about n/2 sparse matrix-vector products
-    (_laplacian_times) and no pass.
+    off their diagonals.  Otherwise adj(xI - L) = p(x) (xI - L)^-1, and when
+    u spans an L-invariant line or plane (_krylov_factor),
+    u^T (xI - L)^-1 u = r / m, so delta = -(p / m) r by one exact division:
+    m divides p.  p is taken from laplacian_char_poly when not given, and
+    only once the factor is found.
     """
     if p is None:
         if adjugate is not None:
             raise ValueError("adjugate matrices given without their polynomial")
-        p = laplacian_char_poly(g)
-    n = g.n
-    if p.degree != n:
-        raise ValueError(f"polynomial of degree {p.degree} given for {n} vertices")
+    elif p.degree != g.n:
+        raise ValueError(f"polynomial of degree {p.degree} given for {g.n} vertices")
     vi, wi = v - 1, w - 1
     if adjugate is not None:
         cross = 2 if parity == ODD else -2
         # adjugate[k] multiplies x^(n-1-k)
         return p, [-(b[vi][vi] + b[wi][wi] + cross * b[vi][wi]) for b in reversed(adjugate)]
     krylov = _krylov_factor(g, v, w, parity)
-    if krylov is not None:
-        m, r = krylov
-        try:
-            q = p.div_exact(IntPoly(m))
-        except ValueError as exc:
-            raise ArithmeticError(
-                "the polynomial is not divisible by the minimal polynomial of u"
-            ) from exc
-        # q r has degree n - 1 and leading coefficient 2, so n coefficients.
-        return p, [-c for c in (q * IntPoly(r)).coeffs]
-    y = {v: 1, w: 1 if parity == ODD else -1}
-    mu = [2]  # u.u
-    while len(mu) < n:
-        ly = _laplacian_times(g, y)
-        mu.append(sum(c * ly.get(x, 0) for x, c in y.items()))
-        if len(mu) < n:
-            mu.append(sum(c * c for c in ly.values()))
-        y = ly
-    top = p.coeffs[::-1]  # top[j] = c_(n-j)
-    return p, [-sum(map(mul, top[: k + 1], mu[k::-1])) for k in reversed(range(n))]
+    if krylov is None:
+        return None
+    if p is None:
+        p = laplacian_char_poly(g)
+    m, r = krylov
+    try:
+        q = p.div_exact(IntPoly(m))
+    except ValueError as exc:
+        raise ArithmeticError(
+            "the polynomial is not divisible by the minimal polynomial of u"
+        ) from exc
+    # q r has degree n - 1 and leading coefficient 2, so n coefficients.
+    return p, [-c for c in (q * IntPoly(r)).coeffs]
 
 
 def siv_oracle(
@@ -417,10 +404,11 @@ def siv_oracle(
     additions to g runs laplacian_pass(g) once and passes both results as p
     and adjugate, and delta is read off the adjugate matrices.  Any other
     caller passes g's polynomial as p, or nothing and laplacian_char_poly
-    supplies it, and delta comes from u's Krylov space: from L u and L^2 u
-    when u spans an L-invariant line or plane, as it does at every positive
-    verdict, and from the moments u^T L^i u otherwise.  Both evaluations
-    give the same verdict.  Then
+    supplies it, and delta comes from L u and L^2 u when u spans an
+    L-invariant line or plane.  Otherwise the verdict is none at once, with
+    no delta and no polynomial formed: p'/p = 1 - u^T (xI - L)^-1 u has one
+    pole per eigenvalue in u's spectral support, and either shift leaves at
+    most two.  Both evaluations give the same verdict.  Then
 
       * one eigenvalue lam rises by 2  iff  x*delta + 2p == lam*delta, and
       * two eigenvalues rise by 1 with sum s and product rho  iff
@@ -435,12 +423,16 @@ def siv_oracle(
     _check_parity(parity)
     _check_pair(g, v, w)
     # Both evaluations stay.  A sweep asks about every pair of a graph, and
-    # there one O(n^4) pass serves them all: reading every delta from
-    # moments (after the same pass for p) made the benchmark's sampled sweep
-    # 2.4x and its exhaustive n <= 4 sweep 1.5x slower.  A plan carries p
-    # and a single question takes it from char_poly; there one or two sparse
-    # products L y, or else the O(n^3) moments, replace a pass per question.
-    p, delta = _addition_delta(g, v, w, parity, p, adjugate)
+    # there one O(n^4) pass serves them all: the Krylov route alone was
+    # 1.85-2.0x slower on the exhaustive n = 4 and 5 sweeps and 2.8-6.0x on
+    # sampled sweeps at n = 8..24, and it read the benchmark's exhaustive
+    # sweep 27% higher in query cost.  A plan carries p and a single question
+    # takes it from char_poly; there one or two sparse products L y replace a
+    # pass per question.
+    found = _addition_delta(g, v, w, parity, p, adjugate)
+    if found is None:
+        return SivVerdict(NONE)
+    p, delta = found
     pc = p.coeffs
 
     # x*delta + 2p, on coefficient lists

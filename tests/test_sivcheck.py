@@ -244,7 +244,9 @@ class TestOracleEquivalenceSampled:
 
 class TestCrossCheck:
     """The sweep engine against the single-question calls, which run no
-    pass: its p against char_poly's, its adjugate route against moments."""
+    pass: its p against char_poly's, its adjugate route against the Krylov
+    route.  The sweeps keep the pass: the Krylov route was 1.85-6x slower on
+    every sweep measured, exhaustive n = 4 and 5 and sampled n = 8..24."""
 
     def test_matches_single_questions(self):
         graphs = [g for n in range(1, 5) for g in iter_signed_graphs(n)]

@@ -21,8 +21,10 @@ from sivkit import (
     switch_at,
     verify_shift_identity,
 )
+from sivkit import spectra
 from sivkit.enumeration import cross_check, iter_signed_graphs
 from sivkit.spectra import (
+    NONE,
     TYPE1,
     TYPE2,
     IntegerSpectrum,
@@ -407,29 +409,34 @@ class TestDerivedAdditionPolynomials:
                 after = signed_laplacian(g.add_edge(v, w, parity))
                 assert _derived_after(g, v, w, parity, g_pass) == leibniz_char_poly(after), (g, v, w, parity)
 
-    def test_moments_match_the_pass(self):
+    def test_krylov_route_matches_the_pass(self):
         # A caller that passes p, or neither p nor the adjugate, gets delta
         # from u's Krylov space instead of the adjugate diagonals: the type-1
-        # exit when L u = lam u, the type-2 exit when L^2 u = a L u + b u, and
-        # the moments u^T L^i u otherwise.  Every addition of the seeded
-        # graphs, plus dense graphs at the vertex cap, where the call forms
-        # that compute a polynomial per addition are checked on the first one
-        # only.  A type-1 verdict has an invariant line and a type-2 verdict
-        # an invariant plane, so every positive verdict takes an exit.
+        # exit when L u = lam u, the type-2 exit when L^2 u = a L u + b u.
+        # Any other u gets none with no delta, and the pass must agree.
+        # Every addition of the seeded graphs, plus dense graphs at the vertex
+        # cap, where the call forms that compute a polynomial per addition
+        # are checked on the first one only.  A type-1 verdict has an
+        # invariant line and a type-2 verdict an invariant plane, so every
+        # positive verdict takes an exit.
         graphs = [g for n in range(2, 13) for g in random_graphs(seed=100 + n, count=3, n=n, edge_prob=0.4)]
         graphs += list(random_graphs(seed=31, count=2, n=MAX_VERTICES, edge_prob=0.95))
-        routes = {"type1": 0, "type2": 0, "moments": 0}
+        routes = {"type1": 0, "type2": 0, "none": 0}
         for g in graphs:
             p, adjugate = laplacian_pass(g)
             additions = list(_additions(g))
             for i, (v, w, parity) in enumerate(additions):
                 by_pass = _addition_delta(g, v, w, parity, p, adjugate)
-                assert _addition_delta(g, v, w, parity, p) == by_pass, (g, v, w, parity)
                 params = siv_oracle(g, v, w, parity, p, adjugate).params
                 assert siv_oracle(g, v, w, parity, p).params == params
                 krylov = _krylov_factor(g, v, w, parity)
-                route = "moments" if krylov is None else f"type{len(krylov[0]) - 1}"
+                route = "none" if krylov is None else f"type{len(krylov[0]) - 1}"
                 routes[route] += 1
+                if krylov is None:
+                    assert params[0] == NONE, (g, v, w, parity)
+                    assert _addition_delta(g, v, w, parity, p) is None
+                else:
+                    assert _addition_delta(g, v, w, parity, p) == by_pass, (g, v, w, parity)
                 assert (route == "type1") == (params[0] == TYPE1), (g, v, w, parity)
                 if params[0] == TYPE2:
                     assert route == "type2", (g, v, w, parity)
@@ -438,6 +445,23 @@ class TestDerivedAdditionPolynomials:
                     after = char_poly(signed_laplacian(g.add_edge(v, w, parity)))
                     assert after - p == IntPoly(tuple(by_pass[1])), (g, v, w, parity)
         assert min(routes.values()) > 0, routes
+
+    def test_no_krylov_factor_forms_no_polynomial(self, monkeypatch):
+        # u of Krylov dimension 3 or more is none at once: neither
+        # laplacian_char_poly nor char_poly runs for it.
+        swept = [
+            (g, v, w, parity, oracle)
+            for n in range(1, 5)
+            for g in iter_signed_graphs(n)
+            for v, w, parity, _, oracle in cross_check(g)[1]
+            if _krylov_factor(g, v, w, parity) is None
+        ]
+        assert swept
+        for name in ("laplacian_char_poly", "char_poly"):
+            monkeypatch.setattr(spectra, name, None)  # a call raises TypeError
+        for g, v, w, parity, oracle in swept:
+            assert oracle.kind == NONE, (g, v, w, parity)
+            assert siv_oracle(g, v, w, parity) == oracle, (g, v, w, parity)
 
     @pytest.mark.parametrize(
         "g, v, w, parity, dimension",
