@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .graphs import EVEN, ODD, Edge, SignedGraph, edge, switch_at
 from .polynomials import IntPoly
@@ -320,19 +320,31 @@ def quotient_decomposition(t: SignedComplete) -> QuotientDecomposition:
     )
 
 
-def _nested(n: int, m: Collection[Edge]) -> bool:
+def _closed_masks(n: int, m: Iterable[Edge]) -> list[int]:
+    """closed[v] = {v} + N_M(v) as a bitmask (bit x is vertex x), v in 1..n."""
+    closed = [1 << v for v in range(n + 1)]
+    for u, v in m:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    return closed
+
+
+def _nested_at(closed: list[int], x: int) -> bool:
+    """The closed neighbourhood of x is nested with that of each neighbour."""
+    cx = closed[x]
+    return all(cx & cy in (cx, cy) for y, cy in enumerate(closed) if cx >> y & 1)
+
+
+def _nested(n: int, m: Iterable[Edge]) -> bool:
     """The graph M on 1..n with these edges has no induced P4 or C4.
 
     That holds exactly when the closed neighbourhoods of the two ends of
     every edge uv of M are nested (Wolk 1962; Golumbic 1978): a neighbour x
     of u only and a neighbour y of v only form the path x-u-v-y in M, or the
-    4-cycle when xy is in M.  m is iterated twice, so it is a collection.
+    4-cycle when xy is in M.
     """
-    closed = {v: {v} for v in range(1, n + 1)}
-    for u, v in m:
-        closed[u].add(v)
-        closed[v].add(u)
-    return all(closed[u] <= closed[v] or closed[v] <= closed[u] for u, v in m)
+    closed = _closed_masks(n, m)
+    return all(_nested_at(closed, x) for x in range(1, n + 1))
 
 
 def is_plain_integrally_completable(n: int, edges: Iterable[Edge]) -> bool:
@@ -431,13 +443,20 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
     # Every addition keeps the target's signs and leaves only all-even edges
     # missing, so of the completability conditions only the plain one can
     # change, and M is the pool.  It passes every graph below four vertices:
-    # the order is sorted.
+    # the order is sorted.  M passes before every step, and removing uv
+    # changes only closed[u] and closed[v], so only u and v are re-checked.
+    closed = _closed_masks(target.n, pool)
     while pool:
         for e in pool:
-            if _nested(target.n, [f for f in pool if f != e]):
+            u, v = e
+            closed[u] ^= 1 << v
+            closed[v] ^= 1 << u
+            if _nested_at(closed, u) and _nested_at(closed, v):
                 commit(e)
                 pool.remove(e)
                 break
+            closed[u] ^= 1 << v
+            closed[v] ^= 1 << u
         else:
             raise RuntimeError("no admissible edge addition found")
     if current != target.to_signed_graph():

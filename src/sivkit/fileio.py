@@ -13,7 +13,7 @@ from .graphs import Edge, SignedGraph, edge
 
 # The largest vertex count read from a file or sampled by the CLI.  `plan`
 # toward an all-even target is the binding command: at 38 vertices it takes
-# 0.33-0.38 s from the empty graph, a star or a 4- or 6-clique plus isolated
+# 0.21-0.29 s from the empty graph, a star or a 4- or 6-clique plus isolated
 # vertices, the slowest starts found (in-process, best of two per start in
 # each of three rounds, 2-vCPU Xeon).  At 38 every other command takes under
 # 0.25 s: `spectrum` of a signed K38 and `check-siv` on K38 minus an edge

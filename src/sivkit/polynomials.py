@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import repeat, zip_longest
+from operator import add, mul
 from typing import Iterable, Sequence
 
 
@@ -15,6 +16,47 @@ def coefficient_ratio(num: Sequence[int], den: Sequence[int]) -> int | None:
     if r or any(a != c * d for a, d in zip_longest(num, den, fillvalue=0)):
         return None
     return c
+
+
+def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two ascending coefficient sequences: one pass over the
+    longer per entry of the shorter."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return []
+    la = len(a)
+    out = [*map(mul, a, repeat(b[0])), *repeat(0, len(b) - 1)]
+    for i in range(1, len(b)):
+        if b[i]:
+            out[i : i + la] = map(add, out[i : i + la], map(mul, a, repeat(b[i])))
+    return out
+
+
+def _div_coeffs(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """The quotient num / den on ascending coefficient sequences, by long
+    division from the top.  The last entry of den must be nonzero; raises
+    ValueError when den does not divide num."""
+    if not num:
+        return []
+    d = len(den) - 1
+    qlen = len(num) - d
+    if qlen <= 0:
+        raise ValueError("inexact polynomial division")
+    lead = den[d]
+    rem = list(num)
+    quot = [0] * qlen
+    for k in range(qlen - 1, -1, -1):
+        q, r = divmod(rem[k + d], lead)
+        if r:
+            raise ValueError("inexact polynomial division")
+        quot[k] = q
+        if q:
+            for i in range(d):
+                rem[k + i] -= q * den[i]
+    if any(rem[:d]):  # each step clears rem[k + d]; the remainder is left
+        raise ValueError("inexact polynomial division")
+    return quot
 
 
 @dataclass(frozen=True)
@@ -29,10 +71,11 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = tuple(int(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        cs = tuple(map(int, self.coeffs))
+        k = len(cs)
+        while k and not cs[k - 1]:
+            k -= 1
+        object.__setattr__(self, "coeffs", cs[:k])
 
     @classmethod
     def of(cls, *coeffs: int) -> IntPoly:
@@ -67,12 +110,6 @@ class IntPoly:
         return not self.coeffs
 
     @property
-    def leading(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -98,16 +135,8 @@ class IntPoly:
         return IntPoly((other,)) - self
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return IntPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(tuple(out))
+        factor = (other,) if isinstance(other, int) else other.coeffs
+        return IntPoly(_mul_coeffs(self.coeffs, factor))
 
     def __rmul__(self, other: int) -> IntPoly:
         return self * other
@@ -130,27 +159,7 @@ class IntPoly:
         """Quotient self / divisor over the integers; raises if not exact."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return IntPoly.zero()
-        if self.degree < divisor.degree:
-            raise ValueError("inexact polynomial division")
-        rem = list(self.coeffs)
-        dcs = divisor.coeffs
-        lead = divisor.leading
-        qlen = len(rem) - len(dcs) + 1
-        quot = [0] * qlen
-        for k in range(qlen - 1, -1, -1):
-            top = rem[k + len(dcs) - 1]
-            if top % lead != 0:
-                raise ValueError("inexact polynomial division")
-            q = top // lead
-            quot[k] = q
-            if q:
-                for i, d in enumerate(dcs):
-                    rem[k + i] -= q * d
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return IntPoly(tuple(quot))
+        return IntPoly(_div_coeffs(self.coeffs, divisor.coeffs))
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .graphs import ODD, SignedGraph, _check_pair, _check_parity
-from .polynomials import IntPoly, coefficient_ratio
+from .polynomials import IntPoly, _div_coeffs, _mul_coeffs, coefficient_ratio
 
 NONE = "none"
 TYPE1 = "type1"
@@ -253,20 +253,20 @@ def laplacian_char_poly(g: SignedGraph) -> IntPoly:
     return char_poly(signed_laplacian(g))
 
 
-def _shift_factors(verdict: SivVerdict) -> tuple[IntPoly, IntPoly]:
-    """The factors f and h with p' * f == p * h for a verdict's shift:
+def _shift_factors(verdict: SivVerdict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The factors f and h, ascending, with p' * f == p * h for a verdict's shift:
     x - lam and x - lam - 2 for type 1, q(x) and q(x - 1) with
     q = x^2 - s*x + rho for type 2, where q(x - 1) is written out as
     x^2 - (s + 2)*x + (1 + s + rho)."""
     if verdict.kind == TYPE1:
         if verdict.lam is None:
             raise ValueError("type-1 verdict requires lam")
-        return IntPoly((-verdict.lam, 1)), IntPoly((-verdict.lam - 2, 1))
+        return (-verdict.lam, 1), (-verdict.lam - 2, 1)
     if verdict.kind == TYPE2:
         if verdict.s is None or verdict.p is None:
             raise ValueError("type-2 verdict requires s and p")
         s, rho = verdict.s, verdict.p
-        return IntPoly((rho, -s, 1)), IntPoly((1 + s + rho, -s - 2, 1))
+        return (rho, -s, 1), (1 + s + rho, -s - 2, 1)
     if verdict.kind == NONE:
         raise ValueError("verdict carries no shift")
     raise ValueError(f"unknown verdict kind {verdict.kind!r}")
@@ -277,7 +277,7 @@ def verify_shift_identity(p: IntPoly, p_after: IntPoly, verdict: SivVerdict) -> 
     if p.degree != p_after.degree:
         raise ValueError("characteristic polynomials must have equal degree")
     f, h = _shift_factors(verdict)
-    return p_after * f == p * h
+    return _mul_coeffs(p_after.coeffs, f) == _mul_coeffs(p.coeffs, h)
 
 
 def polynomial_after(p: IntPoly, verdict: SivVerdict) -> IntPoly:
@@ -285,7 +285,7 @@ def polynomial_after(p: IntPoly, verdict: SivVerdict) -> IntPoly:
     own identity: p * (x - lam - 2) / (x - lam) for type 1 and
     p * q(x - 1) / q(x) for type 2, by exact division."""
     f, h = _shift_factors(verdict)
-    return (p * h).div_exact(f)
+    return IntPoly(_div_coeffs(_mul_coeffs(p.coeffs, h), f))
 
 
 def _laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
@@ -374,13 +374,13 @@ def _addition_delta(
         p = laplacian_char_poly(g)
     m, r = krylov
     try:
-        q = p.div_exact(IntPoly(m))
+        q = _div_coeffs(p.coeffs, m)
     except ValueError as exc:
         raise ArithmeticError(
             "the polynomial is not divisible by the minimal polynomial of u"
         ) from exc
     # q r has degree n - 1 and leading coefficient 2, so n coefficients.
-    return p, [-c for c in (q * IntPoly(r)).coeffs]
+    return p, [-c for c in _mul_coeffs(q, r)]
 
 
 def siv_oracle(
@@ -455,7 +455,9 @@ def siv_oracle(
 
 
 def _verified(p: IntPoly, delta: list[int], verdict: SivVerdict) -> SivVerdict:
-    """Re-check a positive verdict against p' = p + delta as IntPoly objects."""
-    if not verify_shift_identity(p, p + IntPoly(tuple(delta)), verdict):
+    """Re-check a positive verdict against p' = p + delta."""
+    # delta has degree n - 1, so p' keeps p's leading coefficient
+    after = IntPoly([*map(add, p.coeffs, delta), *p.coeffs[len(delta):]])
+    if not verify_shift_identity(p, after, verdict):
         raise ArithmeticError(f"{verdict.kind} certificate failed to verify")
     return verdict

@@ -351,6 +351,27 @@ class TestPlainCompletable:
                 completable += expected
         assert (graphs, completable) == (33867, 4606)
 
+    def test_local_recheck_at_the_ends_of_a_removed_edge(self):
+        # the planner's re-check: for every labelled M on at most six vertices
+        # that passes, and every edge uv of M, the test at u and v alone on
+        # M - uv decides M - uv
+        removals = passing = 0
+        for n in range(2, 7):
+            pairs = all_pairs(n)
+            for mask in range(1 << len(pairs)):
+                m = [e for i, e in enumerate(pairs) if mask >> i & 1]
+                if not completion._nested(n, m):
+                    continue
+                for u, v in m:
+                    closed = completion._closed_masks(n, m)
+                    closed[u] ^= 1 << v
+                    closed[v] ^= 1 << u
+                    local = completion._nested_at(closed, u) and completion._nested_at(closed, v)
+                    assert local == completion._nested(n, [e for e in m if e != (u, v)])
+                    removals += 1
+                    passing += local
+        assert (removals, passing) == (30687, 16457)
+
 
 class TestIsSigmaCompletable:
     def test_target_itself(self):
