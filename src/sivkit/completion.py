@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .graphs import EVEN, ODD, Edge, SignedGraph, edge, switch_at
+from .graphs import EVEN, ODD, Edge, SignedGraph, edge
 from .polynomials import IntPoly
 from .spectra import (
     NONE,
@@ -302,11 +302,12 @@ def quotient_decomposition(t: SignedComplete) -> QuotientDecomposition:
     for part in parts:
         root = part[0]
         switching.update(u for u in part[1:] if edge(root, u) in t.odd)
-    switched = switch_at(t.to_signed_graph(), switching)
     quotient_odd: set[Edge] = set()
     for i, j in combinations(range(len(parts)), 2):
         parities = {
-            switched.is_odd_edge(a, b) for a in parts[i] for b in parts[j]
+            (edge(a, b) in t.odd) ^ (a in switching) ^ (b in switching)
+            for a in parts[i]
+            for b in parts[j]
         }
         if len(parities) != 1:
             raise RuntimeError("cross parities between components are not uniform")

@@ -162,38 +162,36 @@ def switch_at(g: SignedGraph, s: Iterable[int]) -> SignedGraph:
     return SignedGraph(g.n, g.edges, odd)
 
 
-def _spanning_forest(g: SignedGraph) -> tuple[dict[int, int], dict[int, bool], set[Edge]]:
-    """Depth-first forest: parent map, path parity to each root, forest edges.
+def _spanning_forest(g: SignedGraph) -> dict[int, int]:
+    """Depth-first forest as a parent map in discovery order, so every
+    parent comes before its children.
 
     Depends only on the underlying graph, so equal underlying graphs get
     identical forests.
     """
     parent: dict[int, int] = {}
-    path_odd: dict[int, bool] = {}
-    forest: set[Edge] = set()
     seen: set[int] = set()
     for root in g.vertices:
         if root in seen:
             continue
         seen.add(root)
-        path_odd[root] = False
         stack = [root]
         while stack:
             u = stack.pop()
-            for x in sorted(g.neighbors(u), reverse=True):
-                if x in seen:
-                    continue
-                seen.add(x)
-                parent[x] = u
-                forest.add(edge(u, x))
-                path_odd[x] = path_odd[u] ^ g.is_odd_edge(u, x)
-                stack.append(x)
-    return parent, path_odd, forest
+            for x in sorted(g.adjacency(u), reverse=True):
+                if x not in seen:
+                    seen.add(x)
+                    parent[x] = u
+                    stack.append(x)
+    return parent
 
 
-def _normalizing_switch_set(g: SignedGraph) -> frozenset[int]:
-    _, path_odd, _ = _spanning_forest(g)
-    return frozenset(v for v, odd in path_odd.items() if odd)
+def _odd_path_set(parent: dict[int, int], odd: frozenset[Edge]) -> frozenset[int]:
+    """Vertices whose forest path to their root has an odd number of edges in odd."""
+    path_odd: dict[int, bool] = {}
+    for x, u in parent.items():
+        path_odd[x] = path_odd.get(u, False) ^ (edge(u, x) in odd)
+    return frozenset(x for x, is_odd in path_odd.items() if is_odd)
 
 
 def switching_normal_form(g: SignedGraph) -> SignedGraph:
@@ -202,7 +200,7 @@ def switching_normal_form(g: SignedGraph) -> SignedGraph:
     Two signings of the same underlying graph are switching equivalent
     exactly when their normal forms coincide.
     """
-    return switch_at(g, _normalizing_switch_set(g))
+    return switch_at(g, _odd_path_set(_spanning_forest(g), g.odd))
 
 
 def _fundamental_cycle(parent: dict[int, int], u: int, v: int) -> tuple[int, ...]:
@@ -229,20 +227,23 @@ class SwitchingResult:
 
 
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingResult:
-    """Decide equivalence of two signings; O(n + m) via forest normalization."""
+    """Decide equivalence of two signings from one spanning forest of g1.
+
+    Switching g1 at the vertices whose forest path is odd under g1.odd ^ g2.odd
+    turns every forest edge into its g2 parity; the signings are equivalent
+    exactly when that switch also matches every chord.
+    """
     if g1.n != g2.n:
         raise ValueError("vertex counts differ")
     if g1.edges != g2.edges:
         return SwitchingResult(False)
-    parent, _, _ = _spanning_forest(g1)
-    s1 = _normalizing_switch_set(g1)
-    s2 = _normalizing_switch_set(g2)
-    h1 = switch_at(g1, s1)
-    h2 = switch_at(g2, s2)
-    for e in sorted(g1.edges):
-        if (e in h1.odd) != (e in h2.odd):
-            return SwitchingResult(False, None, _fundamental_cycle(parent, *e))
-    return SwitchingResult(True, s1 ^ s2, None)
+    parent = _spanning_forest(g1)
+    differ = g1.odd ^ g2.odd
+    side = _odd_path_set(parent, differ)
+    for u, v in sorted(g1.edges):
+        if ((u, v) in differ) != ((u in side) != (v in side)):
+            return SwitchingResult(False, None, _fundamental_cycle(parent, u, v))
+    return SwitchingResult(True, side, None)
 
 
 def _check_pair(g: SignedGraph, v: int, w: int) -> None:

@@ -4,8 +4,9 @@ A single-eigenvalue (+2) shift happens exactly when v and w have identical
 signed neighborhoods (mirrored ones for an odd addition).  A two-eigenvalue
 (+1,+1) shift is decided by five per-block row-sum equalities on the
 (v,w)-centered form, together with a strict positivity guard that separates
-it from the single-shift case.  Eigenvector certificates live in the
-quadratic integer ring generated by the shifted eigenvalue pair.
+it from the single-shift case.  Its eigenvector certificate is a pair of
+integer vectors x, y: x + r*y is an eigenvector for either root r of the
+shifted pair's quadratic r^2 - s*r + p, which two integer identities check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Mapping
 
 from .graphs import (
     EVEN,
-    NeighborhoodSplit,
     SignedGraph,
     _check_pair,
     _check_parity,
@@ -120,112 +120,42 @@ def classify(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
 
 
 @dataclass(frozen=True)
-class QuadInt:
-    """Element a + b*r of Z[r]/(r^2 - s*r + p); r stands for one of the two
-    (possibly irrational, conjugate) shifted eigenvalues."""
-
-    a: int
-    b: int
-    s: int
-    p: int
-
-    def _coerce(self, other: QuadInt | int) -> QuadInt:
-        if isinstance(other, int):
-            return QuadInt(other, 0, self.s, self.p)
-        if (self.s, self.p) != (other.s, other.p):
-            raise ValueError("mixed quadratic rings")
-        return other
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __add__(self, other: QuadInt | int) -> QuadInt:
-        other = self._coerce(other)
-        return QuadInt(self.a + other.a, self.b + other.b, self.s, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: QuadInt | int) -> QuadInt:
-        other = self._coerce(other)
-        return QuadInt(self.a - other.a, self.b - other.b, self.s, self.p)
-
-    def __rsub__(self, other: int) -> QuadInt:
-        return self._coerce(other) - self
-
-    def __neg__(self) -> QuadInt:
-        return QuadInt(-self.a, -self.b, self.s, self.p)
-
-    def __mul__(self, other: QuadInt | int) -> QuadInt:
-        if isinstance(other, int):
-            return QuadInt(self.a * other, self.b * other, self.s, self.p)
-        other = self._coerce(other)
-        cross = self.b * other.b
-        return QuadInt(
-            self.a * other.a - self.p * cross,
-            self.a * other.b + self.b * other.a + self.s * cross,
-            self.s,
-            self.p,
-        )
-
-    def __rmul__(self, other: int) -> QuadInt:
-        return self * other
-
-
-@dataclass(frozen=True)
 class Type2Certificate:
-    """Exact eigenvector pair for a two-eigenvalue shift.
+    """Exact eigenvector pair for a two-eigenvalue shift, as two integer vectors.
 
-    Heads are (-lam_i + d2 + 1, lam_i - d1 - 1); the tail is the fixed
-    pattern 1 on A, -1 on B, 0 on C, 2 on D, 0 on E.  Entries live in
-    Z[r]/(r^2 - s*r + p) so verification is exact even when the eigenvalue
-    pair is irrational.
+    Over `order`, both eigenvectors are x + r*y, r either root of
+    r^2 - s*r + p.  x is (d2 + 1, -(d1 + 1)) on (v, w), then 1 on A, -1 on B,
+    0 on C, 2 on D and 0 on E; y is (-1, 1) on (v, w) and 0 elsewhere.  Z[r]
+    is free on 1 and r, so L(x + r*y) = r(x + r*y) is exactly the pair of
+    integer identities L*x = -p*y and L*y = x + s*y.  The map r -> s - r
+    carries the identity for one root to the other, so the one pair of
+    checks certifies both eigenvectors, even when the roots are irrational.
     """
 
-    split: NeighborhoodSplit
     s: int
     p: int
-    a1: QuadInt
-    b1: QuadInt
-    a2: QuadInt
-    b2: QuadInt
     order: tuple[int, ...]
-    tail: tuple[int, ...]
-
-    def _const(self, c: int) -> QuadInt:
-        return QuadInt(c, 0, self.s, self.p)
-
-    def eigenvalue(self, i: int) -> QuadInt:
-        if i == 1:
-            return QuadInt(0, 1, self.s, self.p)
-        if i == 2:
-            return QuadInt(self.s, -1, self.s, self.p)
-        raise ValueError("eigenvector index must be 1 or 2")
-
-    def eigenvector(self, i: int) -> tuple[QuadInt, ...]:
-        if i == 1:
-            head = (self.a1, self.b1)
-        elif i == 2:
-            head = (self.a2, self.b2)
-        else:
-            raise ValueError("eigenvector index must be 1 or 2")
-        return head + tuple(self._const(c) for c in self.tail)
-
-    def residual(self, g: SignedGraph, i: int) -> tuple[QuadInt, ...]:
-        """L*vec - lam_i*vec over the ring; all-zero certifies the pair."""
-        vec = self.eigenvector(i)
-        lam = self.eigenvalue(i)
-        pos = {u: k for k, u in enumerate(self.order)}
-        out = []
-        for k, u in enumerate(self.order):
-            acc = g.degree(u) * vec[k] - lam * vec[k]
-            for x, is_odd in g.adjacency(u).items():
-                acc = acc + (1 if is_odd else -1) * vec[pos[x]]
-            out.append(acc)
-        return tuple(out)
+    x: tuple[int, ...]
+    y: tuple[int, ...]
 
     def residuals_are_zero(self, g: SignedGraph) -> bool:
-        return all(r.is_zero for i in (1, 2) for r in self.residual(g, i))
+        """L*x == -p*y and L*y == x + s*y, with L*vec read off g's adjacency."""
+        pos = {u: k for k, u in enumerate(self.order)}
+
+        def laplacian_times(vec: tuple[int, ...]) -> list[int]:
+            return [
+                g.degree(u) * vec[k]
+                + sum(vec[pos[x]] if odd else -vec[pos[x]] for x, odd in g.adjacency(u).items())
+                for k, u in enumerate(self.order)
+            ]
+
+        s, p = self.s, self.p
+        return all(
+            lx == -p * yk and ly == xk + s * yk
+            for lx, ly, xk, yk in zip(
+                laplacian_times(self.x), laplacian_times(self.y), self.x, self.y
+            )
+        )
 
 
 def build_type2_eigenvectors(
@@ -237,26 +167,17 @@ def build_type2_eigenvectors(
     if not is_centered(g, v, w):
         raise ValueError(f"graph must be ({v},{w})-centered")
     split = neighborhood_split(g, v, w)
-    d1, d2 = g.degree(v), g.degree(w)
-    s, p = verdict.s, verdict.p
-    lam1 = QuadInt(0, 1, s, p)
-    lam2 = QuadInt(s, -1, s, p)
-
-    def const(c: int) -> QuadInt:
-        return QuadInt(c, 0, s, p)
-
-    return Type2Certificate(
-        split=split,
-        s=s,
-        p=p,
-        a1=const(d2 + 1) - lam1,
-        b1=lam1 - const(d1 + 1),
-        a2=const(d2 + 1) - lam2,
-        b2=lam2 - const(d1 + 1),
-        order=(v, w) + split.A + split.B + split.C + split.D + split.E,
-        tail=(1,) * len(split.A)
+    tail = (
+        (1,) * len(split.A)
         + (-1,) * len(split.B)
         + (0,) * len(split.C)
         + (2,) * len(split.D)
-        + (0,) * len(split.E),
+        + (0,) * len(split.E)
+    )
+    return Type2Certificate(
+        s=verdict.s,
+        p=verdict.p,
+        order=(v, w) + split.A + split.B + split.C + split.D + split.E,
+        x=(g.degree(w) + 1, -(g.degree(v) + 1)) + tail,
+        y=(-1, 1) + (0,) * len(tail),
     )

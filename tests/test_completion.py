@@ -263,6 +263,26 @@ class TestSubstitutionSpectrum:
 
 
 class TestQuotientDecomposition:
+    # sha256 of (k, parts, quotient odd set, switching set), one JSON line per
+    # seeded switched quotient blow-up, two at each n = 8..38
+    PINNED_DECOMPOSITIONS_SHA256 = (
+        "f54875c2f1e27e2a077dacf0da5a43d66a9aac7c7058e2a6aa5e99f0e695c641"
+    )
+
+    def test_decompositions_are_pinned(self):
+        rng = random.Random("pinned-decompositions")
+        lines = []
+        for n in range(8, 39):
+            for _ in range(2):
+                deco = quotient_decomposition(part_target(rng, n))
+                lines.append(
+                    json.dumps(
+                        [deco.k, deco.parts, sorted(deco.quotient.odd), sorted(deco.switching_set)]
+                    )
+                )
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PINNED_DECOMPOSITIONS_SHA256
+
     def test_all_even_k4_is_one_part(self):
         deco = quotient_decomposition(SignedComplete.of(4))
         assert deco.k == 1 and deco.parts == ((1, 2, 3, 4),)

@@ -14,7 +14,6 @@ from sivkit import (
     classify,
     edge_quantities,
     laplacian_char_poly,
-    edge_quantities,
     is_centered,
     make_centered,
     neighborhood_split,

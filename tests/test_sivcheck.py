@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 
 from sivkit import (
     EVEN,
     ODD,
-    QuadInt,
     SignedGraph,
     SivVerdict,
     build_type2_eigenvectors,
@@ -127,43 +128,20 @@ class TestClassify:
                         assert classify(switch_at(g, s), v, w, adjusted).params == base
 
 
-class TestQuadInt:
-    def ring(self, a, b):
-        return QuadInt(a, b, 5, 3)  # r^2 = 5r - 3
-
-    def test_arithmetic(self):
-        r = self.ring(0, 1)
-        assert r * r == self.ring(-3, 5)
-        assert (r + 2) * (r - 2) == r * r - self.ring(4, 0)
-        assert 3 * r == self.ring(0, 3)
-        assert (r - r).is_zero
-
-    def test_conjugate_pair_satisfies_trace_and_norm(self):
-        r = self.ring(0, 1)
-        conj = self.ring(5, -1)  # s - r
-        assert r + conj == self.ring(5, 0)
-        assert r * conj == self.ring(3, 0)
-
-    def test_mixed_rings_rejected(self):
-        with pytest.raises(ValueError):
-            QuadInt(0, 1, 5, 3) + QuadInt(0, 1, 4, 3)
-
-
 class TestType2Eigenvectors:
     def test_isolated_vertex_instance(self):
         g, v, w = p2_plus_isolated()
         verdict = check_type2(g, v, w, EVEN)
         cert = build_type2_eigenvectors(g, v, w, verdict)
-        # s=2, p=0: eigenvalues 0 and 2; heads follow -lam+d2+1 and lam-d1-1
+        # s=2, p=0: eigenvalues 0 and 2; heads x + r*y are (1 - r, r - 2)
         assert cert.s == 2 and cert.p == 0
-        assert cert.a1 == QuadInt(1, -1, 2, 0)   # 1 - r
-        assert cert.b1 == QuadInt(-2, 1, 2, 0)   # r - 2
-        assert cert.tail == (1,)
+        assert cert.x == (1, -2, 1)
+        assert cert.y == (-1, 1, 0)
         assert cert.residuals_are_zero(g)
 
     def test_numeric_specialization(self):
-        # the ring generator r stands for either root of x^2 - 2x; plugging a
-        # numeric root into the first eigenvector must satisfy L v = r0 v.
+        # x + r*y is an eigenvector for either root of x^2 - 2x; plugging a
+        # numeric root r0 in must satisfy L v = r0 v.
         # heads specialize to (1, -2) at r0 = 0 and (-1, 0) at r0 = 2.
         g, v, w = p2_plus_isolated()
         verdict = check_type2(g, v, w, EVEN)
@@ -173,7 +151,7 @@ class TestType2Eigenvectors:
         L = signed_laplacian(g)
         order = cert.order
         for r0 in (0, 2):
-            vec = [q.a + q.b * r0 for q in cert.eigenvector(1)]
+            vec = [xk + r0 * yk for xk, yk in zip(cert.x, cert.y)]
             if r0 == 0:
                 assert vec[:2] == [1, -2]
             else:
@@ -216,7 +194,8 @@ class TestType2Eigenvectors:
         assert siv_oracle(g, 4, 5, EVEN).params == verdict.params
 
     def test_head_difference_identity(self):
-        # a1 - b1 equals lam2 - lam1 + 1 in the ring (s = d1 + d2 + 1)
+        # x[0] - x[1] = s + 1 and y[0] - y[1] = -2: the head difference of
+        # x + r*y is lam2 - lam1 + 1 at r = lam1 (s = d1 + d2 + 1)
         for g in iter_signed_graphs(4):
             for v, w in g.non_adjacent_pairs():
                 verdict = check_type2(g, v, w, EVEN)
@@ -224,10 +203,26 @@ class TestType2Eigenvectors:
                     continue
                 centered, _ = make_centered(g, v, w)
                 cert = build_type2_eigenvectors(centered, v, w, verdict)
-                lam1, lam2 = cert.eigenvalue(1), cert.eigenvalue(2)
-                one = QuadInt(1, 0, cert.s, cert.p)
-                assert cert.a1 - cert.b1 == lam2 - lam1 + one
-                assert cert.a2 - cert.b2 == lam1 - lam2 + one
+                assert cert.x[0] - cert.x[1] == cert.s + 1
+                assert cert.y[0] - cert.y[1] == -2
+
+    def test_wrong_certificates_are_refused(self):
+        # the check must be able to fail: a certificate with p + 1, or with
+        # the first tail entry of x off by one, fails on every n = 4 instance
+        instances = refused_p = refused_x = 0
+        for g in iter_signed_graphs(4):
+            for v, w in g.non_adjacent_pairs():
+                verdict = check_type2(g, v, w, EVEN)
+                if verdict.kind != "type2":
+                    continue
+                centered, _ = make_centered(g, v, w)
+                cert = build_type2_eigenvectors(centered, v, w, verdict)
+                x = list(cert.x)
+                x[2] += 1
+                instances += 1
+                refused_p += not replace(cert, p=cert.p + 1).residuals_are_zero(centered)
+                refused_x += not replace(cert, x=tuple(x)).residuals_are_zero(centered)
+        assert (instances, refused_p, refused_x) == (264, 264, 264)
 
 
 class TestOracleEquivalenceSampled:
