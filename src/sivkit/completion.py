@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .graphs import EVEN, ODD, Edge, SignedGraph, edge
+from .graphs import EVEN, ODD, Edge, SignedGraph, _check_pairs, edge
 from .polynomials import IntPoly
 from .spectra import (
     NONE,
@@ -38,9 +38,7 @@ class SignedComplete:
         if self.n < 1:
             raise ValueError("vertex count must be at least 1")
         object.__setattr__(self, "odd", frozenset(self.odd))
-        for u, v in self.odd:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"odd pair ({u},{v}) is not a canonical pair in range")
+        _check_pairs(self.n, self.odd)
 
     @classmethod
     def of(cls, n: int, odd: Iterable[Edge] = ()) -> SignedComplete:
@@ -54,7 +52,9 @@ class SignedComplete:
         return list(combinations(self.vertices, 2))
 
     def parity(self, u: int, v: int) -> str:
-        return ODD if edge(u, v) in self.odd else EVEN
+        e = edge(u, v)
+        _check_pairs(self.n, (e,))
+        return ODD if e in self.odd else EVEN
 
     def to_signed_graph(self) -> SignedGraph:
         return SignedGraph.complete(self.n, self.odd)
@@ -70,13 +70,7 @@ def triangle_parity(t: SignedComplete | SignedGraph, u: int, v: int, w: int) -> 
     """Parity of the number of odd edges among uv, uw, vw."""
     if len({u, v, w}) < 3:
         raise ValueError("triangle needs three distinct vertices")
-    if isinstance(t, SignedComplete):
-        for x in (u, v, w):
-            if not 1 <= x <= t.n:
-                raise ValueError(f"vertex {x} out of range 1..{t.n}")
-        count = sum(1 for e in (edge(u, v), edge(u, w), edge(v, w)) if e in t.odd)
-    else:
-        count = sum(1 for a, b in ((u, v), (u, w), (v, w)) if t.is_odd_edge(a, b))
+    count = sum(1 for a, b in ((u, v), (u, w), (v, w)) if t.parity(a, b) == ODD)
     return ODD if count % 2 else EVEN
 
 
@@ -88,15 +82,13 @@ def _require_order_at_least_four(t: SignedComplete) -> None:
 def _odd_triangle_pair_counts(t: SignedComplete) -> dict[Edge, int]:
     """Number of odd triangles through each vertex pair.
 
-    With O_x the bitmask of x's odd neighbours, a third vertex z joins u and
-    v by edges of different parity exactly at the bits of O_u ^ O_v other
-    than u and v; say d of them.  The triangle uvz is odd at those d vertices
-    when uv is even, and at the other n - 2 - d when uv is odd.
+    With O_x the bitmask of x's closed odd neighbourhood, a third vertex z
+    joins u and v by edges of different parity exactly at the bits of
+    O_u ^ O_v other than u and v; say d of them.  The triangle uvz is odd at
+    those d vertices when uv is even, and at the other n - 2 - d when uv is
+    odd.
     """
-    odd_mask = [0] * (t.n + 1)
-    for u, v in t.odd:
-        odd_mask[u] |= 1 << v
-        odd_mask[v] |= 1 << u
+    odd_mask = _closed_masks(t.n, t.odd)
     counts: dict[Edge, int] = {}
     for u, v in t.all_edges():
         d = ((odd_mask[u] ^ odd_mask[v]) & ~((1 << u) | (1 << v))).bit_count()
@@ -274,30 +266,19 @@ class QuotientDecomposition:
 
 def quotient_decomposition(t: SignedComplete) -> QuotientDecomposition:
     _require_order_at_least_four(t)
-    x = x_set(t)
-    adjacency: dict[int, set[int]] = {v: set() for v in t.vertices}
-    for u, v in x:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
+    # A vertex's closed X-neighbourhood is its part exactly when every
+    # component is complete.  Each part is read at its smallest vertex, the
+    # one below every other bit of its mask; a component that is not complete
+    # has a member whose mask differs from that of its smallest vertex.
+    closed = _closed_masks(t.n, x_set(t))
     parts: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for root in t.vertices:
-        if root in seen:
-            continue
-        stack, comp = [root], {root}
-        seen.add(root)
-        while stack:
-            u = stack.pop()
-            for x_ in adjacency[u]:
-                if x_ not in comp:
-                    comp.add(x_)
-                    seen.add(x_)
-                    stack.append(x_)
-        parts.append(tuple(sorted(comp)))
-    for part in parts:
-        for pair in combinations(part, 2):
-            if pair not in x:
+    for v in t.vertices:
+        mask = closed[v]
+        if mask & -mask == 1 << v:
+            part = tuple(x for x in t.vertices if mask >> x & 1)
+            if any(closed[x] != mask for x in part):
                 raise RuntimeError("all-even-triangle components are not complete")
+            parts.append(part)
     switching: set[int] = set()
     for part in parts:
         root = part[0]

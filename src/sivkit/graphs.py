@@ -31,6 +31,13 @@ def _check_parity(parity: str) -> None:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
+def _check_pairs(n: int, pairs: Iterable[Edge]) -> None:
+    """Refuse any pair that is not (u, v) with 1 <= u < v <= n."""
+    for u, v in pairs:
+        if not (1 <= u < v <= n):
+            raise ValueError(f"pair ({u},{v}) is not a canonical pair in range 1..{n}")
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Simple graph plus a parity on each present edge (the odd edge set)."""
@@ -44,9 +51,7 @@ class SignedGraph:
             raise ValueError("vertex count must be at least 1")
         object.__setattr__(self, "edges", frozenset(self.edges))
         object.__setattr__(self, "odd", frozenset(self.odd))
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u},{v}) is not a canonical pair in range")
+        _check_pairs(self.n, self.edges)
         if not self.odd <= self.edges:
             raise ValueError("odd edges must be a subset of the edge set")
 
@@ -251,6 +256,21 @@ def _check_pair(g: SignedGraph, v: int, w: int) -> None:
         raise ValueError("v and w must be distinct")
     if g.has_edge(v, w):
         raise ValueError(f"vertices {v} and {w} are adjacent")
+
+
+def _laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
+    """L y for g's signed Laplacian L, with y and the result given by their
+    nonzero entries (vertex -> value).  Each entry y_j adds column j of L:
+    deg(j) y_j at j, and -y_j or +y_j at each even or odd neighbour of j.  So
+    the product costs the degrees summed over y's support, and no row of L
+    is built."""
+    out: dict[int, int] = {}
+    for j, c in y.items():
+        adj = g.adjacency(j)
+        out[j] = out.get(j, 0) + len(adj) * c
+        for x, is_odd in adj.items():
+            out[x] = out.get(x, 0) + (c if is_odd else -c)
+    return {x: c for x, c in out.items() if c}
 
 
 def is_centered(g: SignedGraph, v: int, w: int) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat, zip_longest
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Sequence
 
 
@@ -63,6 +63,7 @@ def _div_coeffs(num: Sequence[int], den: Sequence[int]) -> list[int]:
 class IntPoly:
     """Arbitrary-precision integer polynomial; coeffs[k] multiplies x**k.
 
+    Coefficients are read through operator.index, so a float is refused.
     The zero polynomial is the empty tuple and has degree -1.  Instances are
     immutable and hashable, so they can be cached and used as certificate
     payloads.
@@ -71,7 +72,7 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = tuple(map(int, self.coeffs))
+        cs = tuple(map(index, self.coeffs))
         k = len(cs)
         while k and not cs[k - 1]:
             k -= 1

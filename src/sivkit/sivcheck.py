@@ -19,6 +19,7 @@ from .graphs import (
     SignedGraph,
     _check_pair,
     _check_parity,
+    _laplacian_times,
     is_centered,
     neighborhood_split,
 )
@@ -139,22 +140,13 @@ class Type2Certificate:
     y: tuple[int, ...]
 
     def residuals_are_zero(self, g: SignedGraph) -> bool:
-        """L*x == -p*y and L*y == x + s*y, with L*vec read off g's adjacency."""
-        pos = {u: k for k, u in enumerate(self.order)}
-
-        def laplacian_times(vec: tuple[int, ...]) -> list[int]:
-            return [
-                g.degree(u) * vec[k]
-                + sum(vec[pos[x]] if odd else -vec[pos[x]] for x, odd in g.adjacency(u).items())
-                for k, u in enumerate(self.order)
-            ]
-
+        """L*x == -p*y and L*y == x + s*y, with L*x and L*y from _laplacian_times."""
+        x, y = dict(zip(self.order, self.x)), dict(zip(self.order, self.y))
+        lx, ly = _laplacian_times(g, x), _laplacian_times(g, y)
         s, p = self.s, self.p
         return all(
-            lx == -p * yk and ly == xk + s * yk
-            for lx, ly, xk, yk in zip(
-                laplacian_times(self.x), laplacian_times(self.y), self.x, self.y
-            )
+            lx.get(u, 0) == -p * y.get(u, 0) and ly.get(u, 0) == x.get(u, 0) + s * y.get(u, 0)
+            for u in g.vertices
         )
 
 

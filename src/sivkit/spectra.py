@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import add, mul
+from operator import add, index, mul
 from typing import Sequence
 
-from .graphs import ODD, SignedGraph, _check_pair, _check_parity
+from .graphs import ODD, SignedGraph, _check_pair, _check_parity, _laplacian_times
 from .polynomials import IntPoly, _div_coeffs, _mul_coeffs, coefficient_ratio
 
 NONE = "none"
@@ -34,25 +34,33 @@ def signed_laplacian(g: SignedGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _read_square(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows of a square matrix as lists of ints, each entry read through
+    operator.index once: fixed-width integers (numpy int64, say) convert
+    exactly, and a float is refused rather than truncated."""
+    rows = [list(map(index, row)) for row in m]
+    n = len(rows)
+    if n == 0:
+        raise ValueError("matrix must have at least one row")
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    return rows
+
+
 def faddeev_leverrier(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[list[int]]]]:
     """Coefficients of det(xI - m), ascending, and the matrices B_0..B_{n-1}
     with adj(xI - m) = sum of B_k x^(n-1-k), for a square matrix m given as
-    rows.  Each entry is read through int once, so a matrix of fixed-width
-    integers (numpy int64, say) is still computed exactly.  This pass serves
-    the adjugate that laplacian_pass hands to siv_oracle; char_poly, which
-    needs only the coefficients, takes the cheaper power-sum route.
+    rows, read by _read_square.  This pass serves the adjugate that
+    laplacian_pass hands to siv_oracle; char_poly, which needs only the
+    coefficients, takes the cheaper power-sum route.
 
     Division-free over the integers: B_0 = I, B_k = m B_(k-1) + c_(n-k) I and
     c_(n-k) = -tr(m B_(k-1)) / k, where every division is exact.  Each B_k is
     a polynomial in m and so commutes with it; the products are taken as
     B_(k-1) m, which pairs the rows of B with the fixed columns of m.
     """
-    mk = [list(map(int, row)) for row in m]  # B_0 m
+    mk = _read_square(m)  # B_0 m
     n = len(mk)
-    if n == 0:
-        raise ValueError("matrix must have at least one row")
-    if any(len(row) != n for row in mk):
-        raise ValueError("matrix must be square")
     cols = list(zip(*mk))
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -73,7 +81,7 @@ def faddeev_leverrier(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[
 
 def char_poly(m: Sequence[Sequence[int]]) -> IntPoly:
     """det(xI - m) for a square matrix of integer rows, monic with exact
-    integer coefficients.  Each entry is read through int once.
+    integer coefficients.  The rows are read by _read_square.
 
     From the power sums p_k = tr(m^k) by Newton's identities,
     k c_(n-k) = -sum over i = 1..k of p_i c_(n-k+i), every division exact.
@@ -83,13 +91,9 @@ def char_poly(m: Sequence[Sequence[int]]) -> IntPoly:
     (every Laplacian is), so is each power: only the entries on and above
     the diagonal are multiplied out, and m^b is its own transpose.
     """
-    rows = [tuple(map(int, row)) for row in m]
+    rows = _read_square(m)
     n = len(rows)
-    if n == 0:
-        raise ValueError("matrix must have at least one row")
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    cols = list(zip(*rows))
+    cols = list(map(list, zip(*rows)))
     symmetric = cols == rows
     powers = [rows]  # powers[k - 1] = m^k
     for _ in range((n + 1) // 2 - 1):
@@ -188,12 +192,10 @@ def integer_spectrum(p: IntPoly) -> IntegerSpectrum:
     """Full integer root multiset of a monic polynomial, or the residual."""
     if not p.is_monic:
         raise ValueError("monic polynomial required")
-    roots: list[int] = []
-    q = p
-    x = IntPoly.x()
-    while q.degree > 0 and q.coeffs[0] == 0:
-        q = q.div_exact(x)
-        roots.append(0)
+    # p is monic, so some coefficient is nonzero; x^zeros divides p exactly
+    zeros = next(k for k, c in enumerate(p.coeffs) if c)
+    roots = [0] * zeros
+    q = IntPoly(p.coeffs[zeros:])
     if q.degree > 0:
         # every integer root divides q(0) and lies within the root bound
         for d in _divisors(q.coeffs[0], _root_bound(q.coeffs)):
@@ -286,21 +288,6 @@ def polynomial_after(p: IntPoly, verdict: SivVerdict) -> IntPoly:
     p * q(x - 1) / q(x) for type 2, by exact division."""
     f, h = _shift_factors(verdict)
     return IntPoly(_div_coeffs(_mul_coeffs(p.coeffs, h), f))
-
-
-def _laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
-    """L y for g's signed Laplacian L, with y and the result given by their
-    nonzero entries (vertex -> value).  Each entry y_j adds column j of L:
-    deg(j) y_j at j, and -y_j or +y_j at each even or odd neighbour of j.  So
-    the product costs the degrees summed over y's support, and no row of L
-    is built."""
-    out: dict[int, int] = {}
-    for j, c in y.items():
-        adj = g.adjacency(j)
-        out[j] = out.get(j, 0) + len(adj) * c
-        for x, is_odd in adj.items():
-            out[x] = out.get(x, 0) + (c if is_odd else -c)
-    return {x: c for x, c in out.items() if c}
 
 
 def _krylov_factor(

@@ -194,6 +194,14 @@ class TestInternalFailures:
         assert captured.out == ""
         assert captured.err == "error: the polynomial carried through the plan is not the target's\n"
 
+    def test_mixed_cross_parities_in_decompose(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(completion, "x_set", lambda t: frozenset({(1, 2)}))
+        path = write_sk(tmp_path, "t.sk", SignedComplete.of(4, [(1, 3)]))
+        assert main(["decompose", path]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_failed_certificate_recheck(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectra, "verify_shift_identity", lambda *args: False)
         path = write_sg(tmp_path, "p3.sg", SignedGraph.all_even(3, [(1, 2), (2, 3)]))

@@ -70,6 +70,14 @@ class TestTriangleParity:
         with pytest.raises(ValueError):
             triangle_parity(SignedComplete.of(4), 1, 1, 2)
 
+    def test_vertices_out_of_range_rejected(self):
+        t = SignedComplete.of(4)
+        for u, v in [(1, 9), (0, 3)]:
+            with pytest.raises(ValueError):
+                t.parity(u, v)
+        with pytest.raises(ValueError):
+            triangle_parity(t, 1, 2, 9)
+
 
 class TestOddTrianglePairCounts:
     """The bitmask counts against a scan of every triangle."""
@@ -282,6 +290,16 @@ class TestQuotientDecomposition:
                 )
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.PINNED_DECOMPOSITIONS_SHA256
+
+    def test_incomplete_component_is_an_invariant_failure(self, monkeypatch):
+        monkeypatch.setattr(completion, "x_set", lambda t: frozenset({(1, 2), (2, 3)}))
+        with pytest.raises(RuntimeError, match="not complete"):
+            quotient_decomposition(SignedComplete.of(4))
+
+    def test_mixed_cross_parities_are_an_invariant_failure(self, monkeypatch):
+        monkeypatch.setattr(completion, "x_set", lambda t: frozenset({(1, 2)}))
+        with pytest.raises(RuntimeError, match="not uniform"):
+            quotient_decomposition(SignedComplete.of(4, [(1, 3)]))
 
     def test_all_even_k4_is_one_part(self):
         deco = quotient_decomposition(SignedComplete.of(4))

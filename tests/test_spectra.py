@@ -99,6 +99,20 @@ class TestCharPoly:
         with pytest.raises(ValueError):
             char_poly(m)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: char_poly([[1.5]]),
+            lambda: faddeev_leverrier([[0.5]]),
+            lambda: IntPoly((1.7, 2.2)),
+        ],
+        ids=["char_poly", "faddeev_leverrier", "IntPoly"],
+    )
+    def test_non_integer_entries_refused(self, call):
+        # int() would truncate these to 1, 0 and (1, 2) without a word
+        with pytest.raises(TypeError):
+            call()
+
     def test_fixed_width_entries_computed_exactly(self):
         np = pytest.importorskip("numpy")
         m = np.diag(np.array([10**7] * 3, dtype=np.int64))
