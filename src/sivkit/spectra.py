@@ -7,9 +7,11 @@ polynomial identities, independent of any combinatorial characterization.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import chain
-from operator import add, index, mul
+from itertools import chain, repeat
+from operator import add, index, lshift, mul
 from typing import Sequence
 
 from .graphs import ODD, SignedGraph, _check_pair, _check_parity, _laplacian_times
@@ -85,33 +87,55 @@ def char_poly(m: Sequence[Sequence[int]]) -> IntPoly:
 
     From the power sums p_k = tr(m^k) by Newton's identities,
     k c_(n-k) = -sum over i = 1..k of p_i c_(n-k+i), every division exact.
-    Only m^1..m^h with h = ceil(n/2) are formed: tr(m^(a+b)) is the sum over
-    i, j of (m^a)_ij (m^b)_ji, so p_k is one flat dot product of m^a with the
-    transpose of m^b for a = floor(k/2) and b = k - a.  When m is symmetric
-    (every Laplacian is), so is each power: only the entries on and above
-    the diagonal are multiplied out, and m^b is its own transpose.
+    Only m^1..m^h with h = ceil(n/2) are formed: for k <= h, p_k is the
+    diagonal sum of m^k, and for k > h, tr(m^(a+b)) is the sum over i, j of
+    (m^a)_ij (m^b)_ji, one flat dot product of m^a with the transpose of m^b
+    for a = floor(k/2) and b = k - a (a symmetric m is its own transpose).
+
+    Each row of m^k is one integer holding entry j in the w-bit slot at bit
+    j*w (Kronecker substitution), so a row of m^(k+1) = m m^k is one C-level
+    sum of the packed rows of m^k times the entries of m's row.  Every entry
+    of m^k is at most r^k in absolute value, r the largest absolute row sum
+    of m (the infinity norm is submultiplicative), and r^k < 2^(h*bitlen(r))
+    for k <= h; so w, the first whole number of machine words above
+    h*bitlen(r), holds every entry with its sign.  Adding 2^(w-1) to every
+    slot leaves none negative, so none borrows from the next: the diagonal
+    is read off the biased slots, and XOR with the same bias leaves each
+    slot in two's complement, read back as words for the powers that the
+    dot products use.
     """
     rows = _read_square(m)
     n = len(rows)
-    cols = list(map(list, zip(*rows)))
-    symmetric = cols == rows
-    powers = [rows]  # powers[k - 1] = m^k
-    for _ in range((n + 1) // 2 - 1):
-        if symmetric:
-            # row i: the mirrored entries of the rows above, then the dot
-            # products with rows i..n-1, which are m's columns i..n-1
-            power: list = []
-            for i, row in enumerate(powers[-1]):
-                power.append([r[i] for r in power] + [sum(map(mul, row, col)) for col in rows[i:]])
-        else:
-            power = [[sum(map(mul, row, col)) for col in cols] for row in powers[-1]]
-        powers.append(power)
-    flat = [list(chain.from_iterable(pw)) for pw in powers]
-    flat_t = flat if symmetric else [list(chain.from_iterable(zip(*pw))) for pw in powers]
-    sums = [0, sum(rows[i][i] for i in range(n))]  # sums[k] = tr(m^k)
-    for k in range(2, n + 1):
+    h = (n + 1) // 2
+    word = array("Q").itemsize * 8
+    limbs = h * max(sum(map(abs, row)) for row in rows).bit_length() // word + 1
+    w = word * limbs
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    bias = half * ((1 << (n * w)) - 1) // mask  # 2^(w-1) in every slot
+    shifts = range(0, n * w, w)
+    packed = [sum(map(lshift, row, shifts)) for row in rows]  # m^1
+    sums = [0]  # sums[k] = tr(m^k)
+    flat = {}  # flat[k]: the entries of m^k, row by row, for the k that p_(h+1..n) read
+    for k in range(1, h + 1):
+        if k > 1:
+            packed = [sum(map(mul, row, packed)) for row in rows]
+        sums.append(sum(((p + bias) >> s) & mask for p, s in zip(packed, shifts)) - n * half)
+        if 2 * k >= h:
+            words = array("Q", b"".join([((p + bias) ^ bias).to_bytes(n * w // 8, "little") for p in packed]))
+            if sys.byteorder == "big":  # to_bytes wrote the words little-endian
+                words.byteswap()
+            # the top word of each slot carries the sign
+            entries = array("q", words.tobytes())[limbs - 1 :: limbs]
+            for t in range(limbs - 2, -1, -1):
+                entries = map(add, map(lshift, entries, repeat(word)), words[t::limbs])
+            flat[k] = list(entries)
+    flat_t = flat
+    if rows != list(map(list, zip(*rows))):
+        flat_t = {k: list(chain.from_iterable(f[j::n] for j in range(n))) for k, f in flat.items()}
+    for k in range(h + 1, n + 1):
         a = k // 2
-        sums.append(sum(map(mul, flat[a - 1], flat_t[k - a - 1])))
+        sums.append(sum(map(mul, flat[a], flat_t[k - a])))
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     for k in range(1, n + 1):

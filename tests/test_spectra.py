@@ -69,6 +69,26 @@ class TestSignedLaplacian:
         assert all(L[v - 1][v - 1] == g.degree(v) for v in g.vertices)
 
 
+def _slot_bound_cases():
+    """Matrices whose powers reach char_poly's slot bound.  The entries of
+    (c*I)^k have absolute value exactly r^k, r = |c| the largest absolute row
+    sum; the c below at n = 1..6 need one to four 64-bit words per entry."""
+    cases = [
+        pytest.param([[c if i == j else 0 for j in range(n)] for i in range(n)],
+                     IntPoly.from_roots([c] * n), id=f"{c}*I{n}")
+        for c in (2**63 - 1, -(2**63 - 1), 2**63, -(2**63), 2**64 + 1, -(2**64 + 1))
+        for n in range(1, 7)
+    ]
+    rng = random.Random(30)
+    m = [[rng.choice((-1, 1)) * 10**30 + rng.randint(-99, 99) for _ in range(5)] for _ in range(5)]
+    assert m != [list(col) for col in zip(*m)]
+    cases.append(pytest.param(m, leibniz_char_poly(m), id="nonsymmetric-1e30"))
+    diagonal = [2**63 - 1, -(2**63 - 1)] * 2
+    cases.append(pytest.param(np.diag(np.array(diagonal, dtype=np.int64)),
+                              IntPoly.from_roots(diagonal), id="int64-diagonal"))
+    return cases
+
+
 class TestCharPoly:
     def test_one_by_one_zero(self):
         assert char_poly(((0,),)) == IntPoly.x()
@@ -120,6 +140,12 @@ class TestCharPoly:
         assert p.coeffs[0] == -(10**21)  # beyond int64
         assert p == IntPoly.from_roots([10**7] * 3)
         assert all(type(c) is int for c in p.coeffs)
+
+    @pytest.mark.parametrize("m, expected", _slot_bound_cases())
+    def test_entries_at_the_slot_bound(self, m, expected):
+        p = char_poly(m)
+        assert p == expected
+        assert list(p.coeffs) == faddeev_leverrier(m)[0]
 
     def test_constant_term_is_signed_determinant(self):
         # exhaustive n <= 4, sampled n in {5, 6}
