@@ -20,8 +20,8 @@ from .spectra import (
     NONE,
     SivVerdict,
     char_poly,
+    _rechecked_verdicts,
     laplacian_char_poly,
-    laplacian_pass,
     polynomial_after,
     siv_oracle,
 )
@@ -312,9 +312,16 @@ def _closed_masks(n: int, m: Iterable[Edge]) -> list[int]:
 
 
 def _nested_at(closed: list[int], x: int) -> bool:
-    """The closed neighbourhood of x is nested with that of each neighbour."""
-    cx = closed[x]
-    return all(cx & cy in (cx, cy) for y, cy in enumerate(closed) if cx >> y & 1)
+    """The closed neighbourhood of x is nested with that of each neighbour,
+    visiting only the set bits of closed[x]."""
+    cx = rest = closed[x]
+    while rest:
+        bit = rest & -rest
+        cy = closed[bit.bit_length() - 1]
+        if cx & cy not in (cx, cy):
+            return False
+        rest ^= bit
+    return True
 
 
 def _nested(n: int, m: Iterable[Edge]) -> bool:
@@ -395,11 +402,10 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
     chosen so the completability predicate stays true.  Every step carries
     its own verified oracle verdict.
 
-    The Laplacian polynomial is carried from step to step by each verdict's
-    own identity, so the oracle reads each step from one or two products L y
-    (every step is positive, so u spans an L-invariant line or plane) and
-    runs no Faddeev-LeVerrier pass; char_poly of the final graph checks the
-    chain.
+    The oracle reads each step from one or two products L y.  The Laplacian
+    polynomial is carried from step to step by each verdict's own identity
+    (polynomial_after, which re-checks the verdict against it), and char_poly
+    of the final graph checks the chain.
     """
     if not is_sigma_completable(g, target):
         raise ValueError("graph is not integrally completable toward the target")
@@ -413,7 +419,7 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
     def commit(e: Edge) -> None:
         nonlocal current, p
         parity = target.parity(*e)
-        verdict = siv_oracle(current, *e, parity, p)
+        verdict = siv_oracle(current, *e, parity)
         if verdict.kind == NONE:
             raise RuntimeError(f"planned addition of {e} is not an integral step")
         steps.append(PlanStep(e, parity, verdict))
@@ -476,12 +482,9 @@ def brute_force_completable(
         if known is not None:
             return known
         state = SignedGraph(n, edges, odd & edges)
-        state_pass = laplacian_pass(state)
-        steps = [
-            e
-            for e in sorted(full - edges)
-            if siv_oracle(state, *e, ODD if e in odd else EVEN, *state_pass).kind != NONE
-        ]
+        missing = sorted(full - edges)
+        verdicts = _rechecked_verdicts(state, [(*e, ODD if e in odd else EVEN) for e in missing])
+        steps = [e for e, verdict in zip(missing, verdicts) if verdict.kind != NONE]
         result = any(reach(edges | {e}) for e in steps)
         memo[edges] = result
         return result

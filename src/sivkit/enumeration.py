@@ -8,9 +8,8 @@ from itertools import combinations
 from typing import Iterator
 
 from .graphs import EVEN, ODD, Edge, SignedGraph
-from .polynomials import IntPoly
 from .sivcheck import classify
-from .spectra import SivVerdict, laplacian_pass, siv_oracle
+from .spectra import SivVerdict, _rechecked_verdicts
 
 
 def all_pairs(n: int) -> list[Edge]:
@@ -43,14 +42,13 @@ def random_signed_graph(
     return SignedGraph(n, edges, odd)
 
 
-def cross_check(g: SignedGraph) -> tuple[IntPoly, list[tuple[int, int, str, SivVerdict, SivVerdict]]]:
-    """g's Laplacian polynomial p and every edge addition to g, as
-    (v, w, parity, classify's verdict, siv_oracle's verdict): each
-    non-adjacent pair, even before odd.  One Faddeev-LeVerrier pass serves
-    every siv_oracle call."""
-    p, adjugate = laplacian_pass(g)
-    return p, [
-        (v, w, parity, classify(g, v, w, parity), siv_oracle(g, v, w, parity, p, adjugate))
-        for v, w in g.non_adjacent_pairs()
-        for parity in (EVEN, ODD)
+def cross_check(g: SignedGraph) -> list[tuple[int, int, str, SivVerdict, SivVerdict]]:
+    """Every edge addition to g, as (v, w, parity, classify's verdict,
+    siv_oracle's verdict): each non-adjacent pair, even before odd.  Each
+    positive oracle verdict is re-checked against g's polynomial, which is
+    formed only for a graph with a positive verdict."""
+    additions = [(v, w, parity) for v, w in g.non_adjacent_pairs() for parity in (EVEN, ODD)]
+    return [
+        (v, w, parity, classify(g, v, w, parity), oracle)
+        for (v, w, parity), oracle in zip(additions, _rechecked_verdicts(g, additions))
     ]

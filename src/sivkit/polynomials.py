@@ -3,19 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat, zip_longest
+from itertools import repeat
 from operator import add, index, mul
 from typing import Iterable, Sequence
-
-
-def coefficient_ratio(num: Sequence[int], den: Sequence[int]) -> int | None:
-    """The integer c with num == c * den, on ascending coefficient sequences,
-    or None.  The last entry of den must be nonzero."""
-    top = len(den) - 1
-    c, r = divmod(num[top] if top < len(num) else 0, den[top])
-    if r or any(a != c * d for a, d in zip_longest(num, den, fillvalue=0)):
-        return None
-    return c
 
 
 def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:

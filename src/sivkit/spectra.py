@@ -1,8 +1,10 @@
 """Exact integer linear algebra for signed Laplacians.
 
-Characteristic polynomials are computed exactly over the integers, and the
-edge-addition oracle decides integral spectral shifts purely through
-polynomial identities, independent of any combinatorial characterization.
+Characteristic polynomials are computed exactly over the integers.  The
+edge-addition oracle decides integral spectral shifts in closed form from
+the Krylov space of the update vector, independent of any combinatorial
+characterization, and exact polynomial identities re-check its positive
+verdicts.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, index, lshift, mul
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import ODD, SignedGraph, _check_pair, _check_parity, _laplacian_times
-from .polynomials import IntPoly, _div_coeffs, _mul_coeffs, coefficient_ratio
+from .polynomials import IntPoly, _div_coeffs, _mul_coeffs
 
 NONE = "none"
 TYPE1 = "type1"
@@ -47,38 +49,6 @@ def _read_square(m: Sequence[Sequence[int]]) -> list[list[int]]:
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     return rows
-
-
-def faddeev_leverrier(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[list[int]]]]:
-    """Coefficients of det(xI - m), ascending, and the matrices B_0..B_{n-1}
-    with adj(xI - m) = sum of B_k x^(n-1-k), for a square matrix m given as
-    rows, read by _read_square.  This pass serves the adjugate that
-    laplacian_pass hands to siv_oracle; char_poly, which needs only the
-    coefficients, takes the cheaper power-sum route.
-
-    Division-free over the integers: B_0 = I, B_k = m B_(k-1) + c_(n-k) I and
-    c_(n-k) = -tr(m B_(k-1)) / k, where every division is exact.  Each B_k is
-    a polynomial in m and so commutes with it; the products are taken as
-    B_(k-1) m, which pairs the rows of B with the fixed columns of m.
-    """
-    mk = _read_square(m)  # B_0 m
-    n = len(mk)
-    cols = list(zip(*mk))
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    adjugate = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    for k in range(1, n + 1):
-        t = sum(mk[i][i] for i in range(n))
-        if t % k:
-            raise ArithmeticError("inexact trace division in faddeev_leverrier")
-        c = -(t // k)
-        coeffs[n - k] = c
-        if k < n:
-            for i in range(n):
-                mk[i][i] += c
-            adjugate.append(mk)
-            mk = [[sum(map(mul, row, col)) for col in cols] for row in mk]
-    return coeffs, adjugate
 
 
 def char_poly(m: Sequence[Sequence[int]]) -> IntPoly:
@@ -266,14 +236,6 @@ class SivVerdict:
         return out
 
 
-def laplacian_pass(g: SignedGraph) -> tuple[IntPoly, list[list[list[int]]]]:
-    """p = det(xI - L) and the adjugate matrices B_k of g's Laplacian, from
-    one Faddeev-LeVerrier pass.  A caller that asks siv_oracle about many
-    additions to g runs this once and passes both on."""
-    coeffs, adjugate = faddeev_leverrier(signed_laplacian(g))
-    return IntPoly(tuple(coeffs)), adjugate
-
-
 def laplacian_char_poly(g: SignedGraph) -> IntPoly:
     """det(xI - L) for g's signed Laplacian L."""
     return char_poly(signed_laplacian(g))
@@ -308,30 +270,33 @@ def verify_shift_identity(p: IntPoly, p_after: IntPoly, verdict: SivVerdict) -> 
 
 def polynomial_after(p: IntPoly, verdict: SivVerdict) -> IntPoly:
     """The polynomial after an addition, from p before it and the verdict's
-    own identity: p * (x - lam - 2) / (x - lam) for type 1 and
-    p * q(x - 1) / q(x) for type 2, by exact division."""
+    own identity: (p / (x - lam)) (x - lam - 2) for type 1 and
+    (p / q(x)) q(x - 1) for type 2, dividing first.  A factor that does not
+    divide p names eigenvalues p does not have, so the verdict is false for
+    this p: that is an internal invariant failure and raises ArithmeticError
+    (exit 2), where a verdict with no shift is refused with ValueError."""
     f, h = _shift_factors(verdict)
-    return IntPoly(_div_coeffs(_mul_coeffs(p.coeffs, h), f))
+    try:
+        quotient = _div_coeffs(p.coeffs, f)
+    except ValueError as exc:
+        raise ArithmeticError(f"the {verdict.kind} verdict's factor does not divide the polynomial") from exc
+    return IntPoly(_mul_coeffs(quotient, h))
 
 
-def _krylov_factor(
-    g: SignedGraph, v: int, w: int, parity: str
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """(m, r), ascending, with u^T (xI - L)^-1 u = r / m, when u spans an
-    L-invariant line or plane; None for any other u.  m is monic: x - lam
-    when L u = lam u, with r = 2; x^2 - a x - b when L^2 u = a L u + b u,
-    with r = 2x + (mu_1 - 2a) and mu_1 = u^T L u.  m divides the minimal
-    polynomial of the integer matrix L, so a and b are integers (Gauss's
-    lemma): a is read by division at an entry of L u outside v and w, where u
-    is 0, b at v, and the plane is then checked entry by entry.  A type-1
-    addition has such a line and a type-2 addition such a plane, so every
-    plan step is decided here from one or two products L y.
+def _krylov_factor(g: SignedGraph, v: int, w: int, parity: str) -> tuple[int, ...] | None:
+    """m, ascending, the monic polynomial of least degree with m(L) u = 0,
+    when u spans an L-invariant line or plane; None for any other u.  m is
+    x - lam when L u = lam u, and x^2 - a x - b when L^2 u = a L u + b u.
+    m divides the minimal polynomial of the integer matrix L, so a and b are
+    integers (Gauss's lemma): a is read by division at an entry of L u
+    outside v and w, where u is 0, b at v, and the plane is then checked
+    entry by entry.  It costs one or two sparse products L y.
     """
-    u = {v: 1, w: 1 if parity == ODD else -1}
-    y1 = _laplacian_times(g, u)
+    sign = 1 if parity == ODD else -1
+    y1 = _laplacian_times(g, {v: 1, w: sign})
     lam = y1.get(v, 0)
-    if all(y1.get(x, 0) == lam * u.get(x, 0) for x in y1.keys() | u.keys()):
-        return (-lam, 1), (2,)
+    if y1 == ({v: lam, w: sign * lam} if lam else {}):
+        return (-lam, 1)
     i = next((x for x in y1 if x != v and x != w), None)
     if i is None:
         return None
@@ -340,135 +305,65 @@ def _krylov_factor(
     if r:
         return None
     b = y2.get(v, 0) - a * y1.get(v, 0)
-    if any(
-        y2.get(x, 0) != a * y1.get(x, 0) + b * u.get(x, 0)
-        for x in y2.keys() | y1.keys() | u.keys()
-    ):
+    plane = {x: a * c for x, c in y1.items()}  # a L u + b u
+    plane[v] = plane.get(v, 0) + b
+    plane[w] = plane.get(w, 0) + sign * b
+    if y2 != {x: c for x, c in plane.items() if c}:
         return None
-    mu1 = sum(c * y1.get(x, 0) for x, c in u.items())
-    return (-b, -a, 1), (mu1 - 2 * a, 2)
+    return (-b, -a, 1)
 
 
-def _addition_delta(
-    g: SignedGraph,
-    v: int,
-    w: int,
-    parity: str,
-    p: IntPoly | None = None,
-    adjugate: list[list[list[int]]] | None = None,
-) -> tuple[IntPoly, list[int]] | None:
-    """g's polynomial p and delta = p' - p = -u^T adj(xI - L) u for adding the
-    edge vw, with ascending coefficients like p; None when no adjugate is
-    given and u spans no L-invariant line or plane.
-
-    With the adjugate matrices of g's Faddeev-LeVerrier pass, delta is read
-    off their diagonals.  Otherwise adj(xI - L) = p(x) (xI - L)^-1, and when
-    u spans an L-invariant line or plane (_krylov_factor),
-    u^T (xI - L)^-1 u = r / m, so delta = -(p / m) r by one exact division:
-    m divides p.  p is taken from laplacian_char_poly when not given, and
-    only once the factor is found.
-    """
-    if p is None:
-        if adjugate is not None:
-            raise ValueError("adjugate matrices given without their polynomial")
-    elif p.degree != g.n:
-        raise ValueError(f"polynomial of degree {p.degree} given for {g.n} vertices")
-    vi, wi = v - 1, w - 1
-    if adjugate is not None:
-        cross = 2 if parity == ODD else -2
-        # adjugate[k] multiplies x^(n-1-k)
-        return p, [-(b[vi][vi] + b[wi][wi] + cross * b[vi][wi]) for b in reversed(adjugate)]
-    krylov = _krylov_factor(g, v, w, parity)
-    if krylov is None:
-        return None
-    if p is None:
-        p = laplacian_char_poly(g)
-    m, r = krylov
-    try:
-        q = _div_coeffs(p.coeffs, m)
-    except ValueError as exc:
-        raise ArithmeticError(
-            "the polynomial is not divisible by the minimal polynomial of u"
-        ) from exc
-    # q r has degree n - 1 and leading coefficient 2, so n coefficients.
-    return p, [-c for c in _mul_coeffs(q, r)]
-
-
-def siv_oracle(
-    g: SignedGraph,
-    v: int,
-    w: int,
-    parity: str,
-    p: IntPoly | None = None,
-    adjugate: list[list[list[int]]] | None = None,
-) -> SivVerdict:
-    """Decide integral spectral variation for adding edge vw, by exact algebra.
+def siv_oracle(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
+    """Decide integral spectral variation for adding edge vw, in closed form
+    from u's Krylov space.
 
     Adding vw turns L into L + uu^T, with u = e_v - e_w for an even edge and
-    u = e_v + e_w for an odd one, so by the matrix determinant lemma the
-    characteristic polynomials p before and p' after the addition differ by
+    u = e_v + e_w for an odd one, so by the matrix determinant lemma
 
-      delta = p' - p = -u^T adj(xI - L) u
+      p'/p = 1 - u^T (xI - L)^-1 u,
 
-    (never zero: its x^(n-1) coefficient is -u^T u = -2).  delta has two
-    evaluations (see _addition_delta).  A caller that asks about many
-    additions to g runs laplacian_pass(g) once and passes both results as p
-    and adjugate, and delta is read off the adjugate matrices.  Any other
-    caller passes g's polynomial as p, or nothing and laplacian_char_poly
-    supplies it, and delta comes from L u and L^2 u when u spans an
-    L-invariant line or plane.  Otherwise the verdict is none at once, with
-    no delta and no polynomial formed: p'/p = 1 - u^T (xI - L)^-1 u has one
-    pole per eigenvalue in u's spectral support, and either shift leaves at
-    most two.  Both evaluations give the same verdict.  Then
+    which has one simple pole at each eigenvalue in u's spectral support.
+    One eigenvalue rising by 2 leaves one pole and two distinct eigenvalues
+    rising by 1 leave two, so every positive u spans an L-invariant line or
+    plane (_krylov_factor), and any other u is none.
 
-      * one eigenvalue lam rises by 2  iff  x*delta + 2p == lam*delta, and
-      * two eigenvalues rise by 1 with sum s and product rho  iff
-        p*((s+1) - 2x) - delta*(x^2 - s*x) == rho*delta,
+      * L u = lam u: L + uu^T acts as L on u's complement, so lam alone
+        rises by 2: type 1.
+      * L^2 u = a L u + b u, m = x^2 - a x - b: u^T (xI - L)^-1 u = r / m
+        with r = 2x + (mu_1 - 2a), mu_1 = u^T L u = d_v + d_w, so
+        p' = (p / m)(m - r).  Both residues of r / m are nonzero, so m - r
+        shares no root with m and type 1 is impossible.  Type 2 holds
+        exactly when m - r = m(x - 1), that is, a = d_v + d_w + 1; then the
+        pair has sum s = a and product rho = -b.
 
-    where s is pinned to d1+d2+1 by the trace of the squared Laplacians.
-    The type-1 test must run first: its success implies the type-2 identity
-    also holds (with the eigenvalue pair (lam, lam+1)), never vice versa.
-    A positive verdict is re-checked by verify_shift_identity before it is
-    returned.
+    No polynomial is formed.  Callers that hold p re-check a positive
+    verdict with polynomial_after or verify_shift_identity.
     """
     _check_parity(parity)
     _check_pair(g, v, w)
-    # Both evaluations stay.  A sweep asks about every pair of a graph, and
-    # there one O(n^4) pass serves them all: the Krylov route alone was
-    # 1.85-2.0x slower on the exhaustive n = 4 and 5 sweeps and 2.8-6.0x on
-    # sampled sweeps at n = 8..24, and it read the benchmark's exhaustive
-    # sweep 27% higher in query cost.  A plan carries p and a single question
-    # takes it from char_poly; there one or two sparse products L y replace a
-    # pass per question.
-    found = _addition_delta(g, v, w, parity, p, adjugate)
-    if found is None:
+    m = _krylov_factor(g, v, w, parity)
+    if m is None:
         return SivVerdict(NONE)
-    p, delta = found
-    pc = p.coeffs
-
-    # x*delta + 2p, on coefficient lists
-    lam = coefficient_ratio([d + 2 * c for d, c in zip([0] + delta, pc)], delta)
-    if lam is not None:
-        return _verified(p, delta, SivVerdict(TYPE1, lam=lam))
-
+    if len(m) == 2:
+        return SivVerdict(TYPE1, lam=-m[0])
     s = g.degree(v) + g.degree(w) + 1
-    # p*((s+1) - 2x) - delta*(x^2 - s*x), on coefficient lists
-    combo = [(s + 1) * c for c in pc] + [0]
-    for i, c in enumerate(pc):
-        combo[i + 1] -= 2 * c
-    for i, d in enumerate(delta):
-        combo[i + 1] += s * d
-        combo[i + 2] -= d
-    rho = coefficient_ratio(combo, delta)
-    if rho is not None:
-        return _verified(p, delta, SivVerdict(TYPE2, s=s, p=rho))
+    if m[1] == -s:
+        return SivVerdict(TYPE2, s=s, p=m[0])
     return SivVerdict(NONE)
 
 
-def _verified(p: IntPoly, delta: list[int], verdict: SivVerdict) -> SivVerdict:
-    """Re-check a positive verdict against p' = p + delta."""
-    # delta has degree n - 1, so p' keeps p's leading coefficient
-    after = IntPoly([*map(add, p.coeffs, delta), *p.coeffs[len(delta):]])
-    if not verify_shift_identity(p, after, verdict):
-        raise ArithmeticError(f"{verdict.kind} certificate failed to verify")
-    return verdict
+def _rechecked_verdicts(
+    g: SignedGraph, additions: Iterable[tuple[int, int, str]]
+) -> Iterator[SivVerdict]:
+    """siv_oracle's verdict on each addition (v, w, parity) to g, in order.
+    Each positive verdict is re-checked by polynomial_after against g's
+    polynomial, formed once at the first positive verdict; a graph with no
+    positive verdict forms none."""
+    p = None
+    for v, w, parity in additions:
+        verdict = siv_oracle(g, v, w, parity)
+        if verdict.kind != NONE:
+            if p is None:
+                p = laplacian_char_poly(g)
+            polynomial_after(p, verdict)
+        yield verdict

@@ -2,7 +2,9 @@
 
 The helpers here are deliberately independent of the library's algorithms:
 determinants come from fraction-free elimination, characteristic polynomials
-from the permanent-style permutation expansion, integer roots from synthetic
+from the permanent-style permutation expansion and the Faddeev-LeVerrier
+recurrence, integral-variation verdicts from the two characteristic
+polynomials alone, by a rational gcd, integer roots from synthetic
 division at every integer of a given range, switching equivalence from
 exhaustive search over all switching sets, the integral-variation
 conditions from switched copies of the graph in centered form, plain
@@ -14,7 +16,10 @@ edits only tests need.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
+from operator import index, mul
 
 from hypothesis import strategies as st
 
@@ -66,6 +71,65 @@ def leibniz_char_poly(m: tuple[tuple[int, ...], ...]) -> IntPoly:
                 prod = prod * (-m[i][perm[i]])
         total = total + prod
     return total
+
+
+def faddeev_leverrier(m) -> IntPoly:
+    """det(xI - m) by the division-free Faddeev-LeVerrier recurrence:
+    B_0 = I, B_k = m B_(k-1) + c_(n-k) I and c_(n-k) = -tr(m B_(k-1)) / k,
+    every division exact.  Entries are read through operator.index, so
+    fixed-width integers are computed exactly."""
+    a = [list(map(index, row)) for row in m]
+    n = len(a)
+    coeffs = [0] * n + [1]
+    mb = [row[:] for row in a]  # m B_0
+    for k in range(1, n + 1):
+        t = sum(mb[i][i] for i in range(n))
+        assert t % k == 0, "inexact trace division"
+        coeffs[n - k] = -(t // k)
+        for i in range(n):
+            mb[i][i] += coeffs[n - k]  # now B_k
+        cols = list(zip(*mb))
+        mb = [[sum(map(mul, row, col)) for col in cols] for row in a]
+    return IntPoly(tuple(coeffs))
+
+
+def _divmod_poly(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of ascending coefficient lists over the
+    rationals; den's last entry is nonzero, and the remainder is stripped."""
+    rem = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(den) - 1] / den[-1]
+        quot[k] = c
+        for i, d in enumerate(den):
+            rem[k + i] -= c * d
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+@cache
+def polynomial_verdict(p: IntPoly, p_after: IntPoly) -> tuple:
+    """The verdict's params read off the polynomials before and after an
+    addition alone.  p'/p in lowest terms is (x - lam - 2) / (x - lam) for
+    type 1 and q(x - 1) / q(x), q = x^2 - s x + rho, for type 2 (a q with
+    roots lam and lam + 1 reduces to type 1); anything else is none.  The
+    gcd is taken over the rationals by Euclid's algorithm."""
+    a, b = list(p.coeffs), list(p_after.coeffs)
+    while b:
+        a, b = b, _divmod_poly(a, b)[1]
+    gcd = [c / a[-1] for c in a]
+    den = _divmod_poly(list(p.coeffs), gcd)[0]
+    num = _divmod_poly(list(p_after.coeffs), gcd)[0]
+    if len(den) == 2 and den[0].denominator == 1:
+        lam = -int(den[0])
+        if num == [-lam - 2, 1]:
+            return ("type1", lam, None, None)
+    if len(den) == 3 and all(c.denominator == 1 for c in den):
+        rho, s = int(den[0]), -int(den[1])
+        if num == [1 + s + rho, -s - 2, 1]:
+            return ("type2", None, s, rho)
+    return ("none", None, None, None)
 
 
 def trial_division_roots(coeffs: tuple[int, ...], radius: int) -> tuple[list[int], list[int]]:

@@ -49,7 +49,7 @@ from sivkit.enumeration import (
     random_signed_graph,
 )
 
-from conftest import iter_signed_completes, random_signed_complete
+from conftest import iter_signed_completes, polynomial_verdict, random_signed_complete
 
 SEED = 20260810
 RANDOM_GRAPHS_PER_ORDER = 5_000  # criterion 1: orders 6 and 7, two parities each
@@ -87,6 +87,8 @@ class Survey:
     type2_instances: list = field(default_factory=list)
     verdict_tables: dict = field(default_factory=dict)
     polys: dict = field(default_factory=dict)
+    # (g, v, w, parity, oracle params, params read off the two polynomials)
+    reference_mismatches: list = field(default_factory=list)
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +96,16 @@ def survey() -> Survey:
     out = Survey()
     for n in range(1, 6):
         table: dict = {}
-        for g in iter_signed_graphs(n):
-            out.polys[g], decided = cross_check(g)
+        graphs = list(iter_signed_graphs(n))
+        for g in graphs:
+            out.polys[g] = laplacian_char_poly(g)
+        for g in graphs:
             flat: list[int] = []
-            for v, w, parity, verdict, oracle in decided:
+            for v, w, parity, verdict, oracle in cross_check(g):
+                # the oracle against the verdict read off p and p' alone
+                reference = polynomial_verdict(out.polys[g], out.polys[g.add_edge(v, w, parity)])
+                if oracle.params != reference:
+                    out.reference_mismatches.append((g, v, w, parity, oracle.params, reference))
                 out.exhaustive_instances += 1
                 out.counts[verdict.kind] += 1
                 if verdict.params != oracle.params:
@@ -137,6 +145,13 @@ def test_criterion_01_characterization_equals_oracle(survey):
         f"(n<=5) + {survey.random_instances} random (n=6,7) instances, "
         f"{len(survey.mismatches)} mismatches, verdicts {survey.counts}",
     )
+
+
+def test_oracle_matches_the_polynomials_of_every_small_addition(survey):
+    # the closed-form oracle against the verdict read off the polynomials
+    # of g and g + vw alone, for every instance with n <= 5
+    assert survey.exhaustive_instances == 396_632
+    assert not survey.reference_mismatches, survey.reference_mismatches[:5]
 
 
 def test_criterion_02_sum_product_positivity_identities(survey):

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import sivkit
 from sivkit import EVEN, ODD, SignedComplete, SignedGraph, SivVerdict, dumps_sg, dumps_sk, switch_at
-from sivkit import completion, enumeration, spectra
+from sivkit import cli, completion, spectra
 from sivkit.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from sivkit.enumeration import cross_check, iter_signed_graphs
 from sivkit.fileio import MAX_VERTICES
 
 
@@ -99,7 +100,9 @@ class TestCheckSiv:
         assert (payload["s"], payload["p"]) == (2, 0)
         assert payload["oracle"] == "agree"
 
-    def test_none(self, tmp_path, capsys):
+    def test_none(self, tmp_path, capsys, monkeypatch):
+        # a none verdict has nothing to re-check, so no polynomial is formed
+        monkeypatch.setattr(cli, "laplacian_char_poly", None)  # a call raises TypeError
         g = SignedGraph.all_even(4, [(1, 2), (2, 3), (3, 4)])
         path = write_sg(tmp_path, "p4.sg", g)
         assert main(["check-siv", path, "1", "4"]) == EXIT_OK
@@ -184,6 +187,26 @@ class TestInternalFailures:
         assert captured.out == ""
         assert captured.err == "error: planned addition of (3, 4) is not an integral step\n"
 
+    def test_plan_step_verdict_the_polynomial_refutes(self, tmp_path, capsys, monkeypatch):
+        # The second of three steps gets a type-1 verdict whose lam is no
+        # eigenvalue of its graph, so x - lam does not divide the carried
+        # polynomial: the re-check fails, an internal invariant (exit 2).
+        oracle = completion.siv_oracle
+        calls = []
+
+        def one_false_step(*args):
+            calls.append(args)
+            return SivVerdict("type1", lam=100) if len(calls) == 2 else oracle(*args)
+
+        monkeypatch.setattr(completion, "siv_oracle", one_false_step)
+        gpath = write_sg(tmp_path, "g.sg", SignedGraph.all_even(4, [(1, 2), (1, 3), (1, 4)]))
+        tpath = write_sk(tmp_path, "t.sk", SignedComplete.of(4))
+        assert main(["plan", gpath, tpath]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert len(calls) == 2
+        assert captured.out == ""
+        assert captured.err == "error: the type1 verdict's factor does not divide the polynomial\n"
+
     def test_carried_polynomial_left_unmoved(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(completion, "polynomial_after", lambda p, verdict: p)
         t = SignedComplete.of(4, [(1, 2)])
@@ -203,7 +226,9 @@ class TestInternalFailures:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_failed_certificate_recheck(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(spectra, "verify_shift_identity", lambda *args: False)
+        # check-siv re-checks a positive verdict against two polynomials
+        # computed from scratch
+        monkeypatch.setattr(cli, "verify_shift_identity", lambda *args: False)
         path = write_sg(tmp_path, "p3.sg", SignedGraph.all_even(3, [(1, 2), (2, 3)]))
         assert main(["check-siv", path, "1", "3"]) == EXIT_VIOLATION
         assert capsys.readouterr().err == "error: type1 certificate failed to verify\n"
@@ -402,18 +427,25 @@ class TestEnumerate:
             "type1": type1, "type2": type2, "none": none, "mismatches": 0,
         }
 
-    def test_one_pass_per_graph_with_an_addition(self, capsys, monkeypatch):
-        passes = []
+    def test_one_polynomial_per_graph_with_a_positive_verdict(self, capsys, monkeypatch):
+        # the sweep forms g's polynomial to re-check g's positive verdicts,
+        # once, and a graph with none forms no polynomial
+        positive = {
+            g for g in iter_signed_graphs(4) if any(o.kind != "none" for *_, o in cross_check(g))
+        }
+        polys = []
+        laplacian_char_poly = spectra.laplacian_char_poly
 
         def counting(g):
-            passes.append(g)
-            return spectra.laplacian_pass(g)
+            polys.append(g)
+            return laplacian_char_poly(g)
 
-        monkeypatch.setattr(enumeration, "laplacian_pass", counting)
-        assert main(["enumerate", "--n-limit", "3", "--json"]) == EXIT_OK
+        monkeypatch.setattr(spectra, "laplacian_char_poly", counting)
+        assert main(["enumerate", "--n-limit", "4", "--json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["mismatches"] == 0
-        # 27 signed graphs on 3 vertices, less the 8 complete ones
-        assert len(passes) == len(set(passes)) == 19
+        assert len(polys) == len(set(polys))
+        assert set(polys) == positive
+        assert 0 < len(positive) < 3**6 - 2**6  # less the complete graphs
 
     def test_canonical_reduces_graph_count(self, capsys):
         main(["enumerate", "--n-limit", "3", "--json"])

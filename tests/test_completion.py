@@ -15,7 +15,7 @@ from sivkit import (
     is_plain_integrally_completable,
     is_sigma_completable,
     laplacian_char_poly,
-    laplacian_pass,
+    siv_oracle,
     part_blocks,
     plan_completion,
     quotient_decomposition,
@@ -29,7 +29,7 @@ from sivkit import (
     x_set,
     y_set,
 )
-from sivkit import completion
+from sivkit import completion, spectra
 from sivkit.enumeration import all_pairs
 from sivkit.fileio import MAX_VERTICES
 from sivkit.spectra import polynomial_after
@@ -626,19 +626,30 @@ class TestBruteForce:
             g = SignedGraph(4, frozenset(edges), frozenset(t.odd & set(edges)))
             assert brute_force_completable(g, t) == is_sigma_completable(g, t)
 
-    def test_one_pass_per_visited_state(self, monkeypatch):
-        passes = []
+    def test_one_polynomial_per_visited_state_with_a_step(self, monkeypatch):
+        # the search forms a state's polynomial to re-check its certified
+        # steps, once, and a state with no step forms no polynomial
+        polys = []
 
         def counting(g):
-            passes.append(g.edges)
-            return laplacian_pass(g)
+            polys.append(g.edges)
+            return laplacian_char_poly(g)
 
-        monkeypatch.setattr(completion, "laplacian_pass", counting)
+        monkeypatch.setattr(spectra, "laplacian_char_poly", counting)
         # not completable, so the search visits every state it can reach,
         # and each visited state gets a memo entry
         t = SignedComplete.of(5, [(1, 2)])
         memo: dict = {}
         assert not brute_force_completable(SignedGraph(5, frozenset(), frozenset()), t, memo)
         assert len(memo) > 100
-        assert len(passes) == len(set(passes)) == len(memo)
-        assert set(passes) == set(memo)
+        with_step = {
+            edges
+            for edges in memo
+            if any(
+                siv_oracle(SignedGraph(5, edges, t.odd & edges), *e, t.parity(*e)).kind != "none"
+                for e in set(t.all_edges()) - edges
+            )
+        }
+        assert len(polys) == len(set(polys))
+        assert set(polys) == with_step
+        assert 0 < len(with_step) < len(memo)

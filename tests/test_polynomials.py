@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sivkit import IntPoly
-from sivkit.polynomials import _div_coeffs, _mul_coeffs, coefficient_ratio
+from sivkit.polynomials import _div_coeffs, _mul_coeffs
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=7)
 
@@ -47,17 +47,6 @@ def test_div_exact_roundtrip():
         (a * b + 1).div_exact(b)
     with pytest.raises(ValueError):
         IntPoly.of(1, 1).div_exact(IntPoly.of(0, 2))  # 2x does not divide x+1
-
-
-def test_coefficient_ratio():
-    p = IntPoly.of(1, -4, 2)
-    assert coefficient_ratio((3 * p).coeffs, p.coeffs) == 3
-    assert coefficient_ratio(IntPoly.zero().coeffs, p.coeffs) == 0
-    assert coefficient_ratio((p + 1).coeffs, p.coeffs) is None
-    # a numerator of higher degree is no multiple
-    assert coefficient_ratio((IntPoly.x() * p + p).coeffs, p.coeffs) is None
-    # 3p vs 2p: ratio is not an integer
-    assert coefficient_ratio((3 * p).coeffs, (2 * p).coeffs) is None
 
 
 def test_str_matches_display_format():

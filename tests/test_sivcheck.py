@@ -12,7 +12,6 @@ from sivkit import (
     check_type1,
     check_type2,
     classify,
-    laplacian_char_poly,
     make_centered,
     siv_oracle,
     switch_at,
@@ -233,29 +232,28 @@ class TestOracleEquivalenceSampled:
 
     def test_classify_matches_oracle_n6_sample(self):
         for g in random_graphs(seed=77, count=300, n=6):
-            for *_, verdict, oracle in cross_check(g)[1]:
+            for *_, verdict, oracle in cross_check(g):
                 assert verdict.params == oracle.params
 
 
 class TestCrossCheck:
-    """The sweep engine against the single-question calls, which run no
-    pass: its p against char_poly's, its adjugate route against the Krylov
-    route.  The sweeps keep the pass: the Krylov route was 1.85-6x slower on
-    every sweep measured, exhaustive n = 4 and 5 and sampled n = 8..24."""
+    """The sweep engine against the single-question calls, which form no
+    polynomial: the same verdicts, in the same order."""
 
     def test_matches_single_questions(self):
         graphs = [g for n in range(1, 5) for g in iter_signed_graphs(n)]
         graphs += [g for n in range(5, 13) for g in random_graphs(seed=700 + n, count=4, n=n)]
         for g in graphs:
-            assert cross_check(g) == (laplacian_char_poly(g), [
+            assert cross_check(g) == [
                 (v, w, parity, classify(g, v, w, parity), siv_oracle(g, v, w, parity))
                 for v, w in g.non_adjacent_pairs()
                 for parity in (EVEN, ODD)
-            ]), g
+            ], g
 
     def test_single_question_runs_no_pass(self, monkeypatch):
-        swept = [(g, *d) for g in iter_signed_graphs(4) for d in cross_check(g)[1]]
-        monkeypatch.setattr(spectra, "faddeev_leverrier", None)  # a call raises TypeError
+        swept = [(g, *d) for g in iter_signed_graphs(4) for d in cross_check(g)]
+        for name in ("laplacian_char_poly", "char_poly"):
+            monkeypatch.setattr(spectra, name, None)  # a call raises TypeError
         for g, v, w, parity, _, oracle in swept:
             assert siv_oracle(g, v, w, parity) == oracle
 

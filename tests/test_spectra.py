@@ -15,7 +15,6 @@ from sivkit import (
     char_poly,
     integer_spectrum,
     laplacian_char_poly,
-    laplacian_pass,
     signed_laplacian,
     siv_oracle,
     switch_at,
@@ -28,12 +27,10 @@ from sivkit.spectra import (
     TYPE1,
     TYPE2,
     IntegerSpectrum,
-    _addition_delta,
     _divisors,
     _iroot,
     _krylov_factor,
     _root_bound,
-    faddeev_leverrier,
     polynomial_after,
 )
 from sivkit.fileio import MAX_VERTICES
@@ -41,8 +38,10 @@ from sivkit.fileio import MAX_VERTICES
 from conftest import (
     all_switch_sets,
     bareiss_determinant,
+    faddeev_leverrier,
     graphs_with_nonadjacent_pair,
     leibniz_char_poly,
+    polynomial_verdict,
     random_graphs,
     signed_graphs,
     trial_division_roots,
@@ -123,13 +122,12 @@ class TestCharPoly:
         "call",
         [
             lambda: char_poly([[1.5]]),
-            lambda: faddeev_leverrier([[0.5]]),
             lambda: IntPoly((1.7, 2.2)),
         ],
-        ids=["char_poly", "faddeev_leverrier", "IntPoly"],
+        ids=["char_poly", "IntPoly"],
     )
     def test_non_integer_entries_refused(self, call):
-        # int() would truncate these to 1, 0 and (1, 2) without a word
+        # int() would truncate these to 1 and (1, 2) without a word
         with pytest.raises(TypeError):
             call()
 
@@ -145,7 +143,7 @@ class TestCharPoly:
     def test_entries_at_the_slot_bound(self, m, expected):
         p = char_poly(m)
         assert p == expected
-        assert list(p.coeffs) == faddeev_leverrier(m)[0]
+        assert p == faddeev_leverrier(m)
 
     def test_constant_term_is_signed_determinant(self):
         # exhaustive n <= 4, sampled n in {5, 6}
@@ -172,7 +170,7 @@ class TestCharPoly:
         if data.draw(st.booleans(), label="symmetrise"):
             m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         p = char_poly(m)
-        assert list(p.coeffs) == faddeev_leverrier(m)[0]
+        assert p == faddeev_leverrier(m)
         if n <= 5:
             assert p == leibniz_char_poly(m)
 
@@ -187,7 +185,7 @@ class TestCharPoly:
         m[n - 1][0] += 1
         p = char_poly(m)
         assert p == leibniz_char_poly(m)
-        assert list(p.coeffs) == faddeev_leverrier(m)[0]
+        assert p == faddeev_leverrier(m)
 
     def test_strictly_upper_triangular_is_x_to_the_n(self):
         # every power sum tr(m^k) is 0
@@ -210,7 +208,7 @@ class TestCharPoly:
         n = MAX_VERTICES
         odd = [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5]
         L = signed_laplacian(SignedGraph.complete(n, odd))
-        assert list(char_poly(L).coeffs) == faddeev_leverrier(L)[0]
+        assert char_poly(L) == faddeev_leverrier(L)
 
     def test_switched_all_even_complete_at_the_vertex_cap(self):
         n = MAX_VERTICES
@@ -218,7 +216,7 @@ class TestCharPoly:
         L = signed_laplacian(g)
         p = char_poly(L)
         assert p == IntPoly.from_roots([0] + [n] * (n - 1))
-        assert list(p.coeffs) == faddeev_leverrier(L)[0]
+        assert p == faddeev_leverrier(L)
 
 
 class TestIntegerSpectrum:
@@ -402,7 +400,7 @@ class TestSivOracle:
         graphs += list(random_graphs(seed=5, count=400, n=5))
         for g in graphs:
             evs = np.sort(np.linalg.eigvalsh(np.array(signed_laplacian(g), dtype=float)))
-            for v, w, parity, _, verdict in cross_check(g)[1]:
+            for v, w, parity, _, verdict in cross_check(g):
                 after = signed_laplacian(g.add_edge(v, w, parity))
                 evs2 = np.sort(np.linalg.eigvalsh(np.array(after, dtype=float)))
                 if verdict.kind == "type1":
@@ -422,85 +420,72 @@ def _additions(g):
             yield v, w, parity
 
 
-def _derived_after(g, v, w, parity, g_pass):
-    p, delta = _addition_delta(g, v, w, parity, *g_pass)
-    return p + IntPoly(tuple(delta))
-
-
 class TestDerivedAdditionPolynomials:
-    """The oracle takes p' from g's adjugate matrices by the matrix
-    determinant lemma; it must equal the polynomial of g + vw itself."""
+    """The closed-form verdicts against the polynomials of g and of g + vw,
+    each computed from scratch: the verdict read off the two polynomials
+    alone must equal siv_oracle's, and polynomial_after must derive the
+    second from the first on every positive verdict."""
 
     def test_matches_direct_char_poly(self):
         for n in range(2, 13):
             for g in random_graphs(seed=100 + n, count=3, n=n, edge_prob=0.4):
-                g_pass = laplacian_pass(g)
+                p = laplacian_char_poly(g)
                 for v, w, parity in _additions(g):
-                    after = signed_laplacian(g.add_edge(v, w, parity))
-                    assert _derived_after(g, v, w, parity, g_pass) == char_poly(after), (g, v, w, parity)
+                    after = char_poly(signed_laplacian(g.add_edge(v, w, parity)))
+                    verdict = siv_oracle(g, v, w, parity)
+                    assert verdict.params == polynomial_verdict(p, after), (g, v, w, parity)
+                    if verdict.kind != NONE:
+                        assert polynomial_after(p, verdict) == after, (g, v, w, parity)
 
     def test_matches_permutation_expansion(self):
         graphs = list(iter_signed_graphs(3))
         graphs += list(random_graphs(seed=21, count=40, n=4))
         graphs += list(random_graphs(seed=22, count=12, n=5))
         for g in graphs:
-            g_pass = laplacian_pass(g)
+            p = leibniz_char_poly(signed_laplacian(g))
             for v, w, parity in _additions(g):
-                after = signed_laplacian(g.add_edge(v, w, parity))
-                assert _derived_after(g, v, w, parity, g_pass) == leibniz_char_poly(after), (g, v, w, parity)
+                after = leibniz_char_poly(signed_laplacian(g.add_edge(v, w, parity)))
+                assert siv_oracle(g, v, w, parity).params == polynomial_verdict(p, after), (g, v, w, parity)
 
     def test_krylov_route_matches_the_pass(self):
-        # A caller that passes p, or neither p nor the adjugate, gets delta
-        # from u's Krylov space instead of the adjugate diagonals: the type-1
-        # exit when L u = lam u, the type-2 exit when L^2 u = a L u + b u.
-        # Any other u gets none with no delta, and the pass must agree.
-        # Every addition of the seeded graphs, plus dense graphs at the vertex
-        # cap, where the call forms that compute a polynomial per addition
-        # are checked on the first one only.  A type-1 verdict has an
-        # invariant line and a type-2 verdict an invariant plane, so every
-        # positive verdict takes an exit.
+        # The verdict follows _krylov_factor: a line is type 1, a plane is
+        # type 2 or none, and anything else is none.  Against the verdict
+        # read off the polynomials of a Faddeev-LeVerrier pass on g and on
+        # g + vw, for every addition of the seeded graphs, plus dense graphs
+        # at the vertex cap, where the pass is checked on the first addition
+        # only.
         graphs = [g for n in range(2, 13) for g in random_graphs(seed=100 + n, count=3, n=n, edge_prob=0.4)]
         graphs += list(random_graphs(seed=31, count=2, n=MAX_VERTICES, edge_prob=0.95))
         routes = {"type1": 0, "type2": 0, "none": 0}
         for g in graphs:
-            p, adjugate = laplacian_pass(g)
-            additions = list(_additions(g))
-            for i, (v, w, parity) in enumerate(additions):
-                by_pass = _addition_delta(g, v, w, parity, p, adjugate)
-                params = siv_oracle(g, v, w, parity, p, adjugate).params
-                assert siv_oracle(g, v, w, parity, p).params == params
-                krylov = _krylov_factor(g, v, w, parity)
-                route = "none" if krylov is None else f"type{len(krylov[0]) - 1}"
+            p = faddeev_leverrier(signed_laplacian(g))
+            for i, (v, w, parity) in enumerate(_additions(g)):
+                params = siv_oracle(g, v, w, parity).params
+                m = _krylov_factor(g, v, w, parity)
+                route = "none" if m is None else f"type{len(m) - 1}"
                 routes[route] += 1
-                if krylov is None:
-                    assert params[0] == NONE, (g, v, w, parity)
-                    assert _addition_delta(g, v, w, parity, p) is None
-                else:
-                    assert _addition_delta(g, v, w, parity, p) == by_pass, (g, v, w, parity)
                 assert (route == "type1") == (params[0] == TYPE1), (g, v, w, parity)
                 if params[0] == TYPE2:
                     assert route == "type2", (g, v, w, parity)
                 if g.n < MAX_VERTICES or i == 0:
-                    assert siv_oracle(g, v, w, parity).params == params
-                    after = char_poly(signed_laplacian(g.add_edge(v, w, parity)))
-                    assert after - p == IntPoly(tuple(by_pass[1])), (g, v, w, parity)
+                    after = faddeev_leverrier(signed_laplacian(g.add_edge(v, w, parity)))
+                    assert params == polynomial_verdict(p, after), (g, v, w, parity)
         assert min(routes.values()) > 0, routes
 
     def test_no_krylov_factor_forms_no_polynomial(self, monkeypatch):
-        # u of Krylov dimension 3 or more is none at once: neither
-        # laplacian_char_poly nor char_poly runs for it.
+        # u of Krylov dimension 3 or more is none, and the oracle runs
+        # neither laplacian_char_poly nor char_poly for any u.
         swept = [
             (g, v, w, parity, oracle)
             for n in range(1, 5)
             for g in iter_signed_graphs(n)
-            for v, w, parity, _, oracle in cross_check(g)[1]
-            if _krylov_factor(g, v, w, parity) is None
+            for v, w, parity, _, oracle in cross_check(g)
         ]
-        assert swept
+        unfactored = [d for d in swept if _krylov_factor(*d[:4]) is None]
+        assert unfactored and all(d[4].kind == NONE for d in unfactored)
         for name in ("laplacian_char_poly", "char_poly"):
             monkeypatch.setattr(spectra, name, None)  # a call raises TypeError
         for g, v, w, parity, oracle in swept:
-            assert oracle.kind == NONE, (g, v, w, parity)
             assert siv_oracle(g, v, w, parity) == oracle, (g, v, w, parity)
 
     @pytest.mark.parametrize(
@@ -513,31 +498,15 @@ class TestDerivedAdditionPolynomials:
         ],
     )
     def test_polynomial_the_krylov_factor_does_not_divide_raises(self, g, v, w, parity, dimension):
-        # An inexact division is an internal invariant failure (exit 2), not
-        # a refused input.  A wrong polynomial of the right degree reaches
-        # it: x^n is divisible by no monic m with a nonzero root.
-        m, _ = _krylov_factor(g, v, w, parity)
+        # Re-checking a verdict against a polynomial its factor does not
+        # divide is an internal invariant failure (exit 2), not a refused
+        # input.  x^n is divisible by no monic m with a nonzero root.
+        m = _krylov_factor(g, v, w, parity)
         assert len(m) - 1 == dimension and any(m[:-1])
-        wrong = IntPoly((0,) * g.n + (1,))
+        verdict = siv_oracle(g, v, w, parity)
+        assert verdict.kind != NONE
         with pytest.raises(ArithmeticError):
-            _addition_delta(g, v, w, parity, wrong)
-        with pytest.raises(ArithmeticError):
-            siv_oracle(g, v, w, parity, wrong)
-
-    def test_polynomial_of_wrong_degree_refused(self):
-        g = SignedGraph.all_even(4, [(1, 2), (2, 3)])
-        p, adjugate = laplacian_pass(g)
-        for wrong in (p * IntPoly.x(), laplacian_char_poly(SignedGraph.all_even(3, [(1, 2)]))):
-            with pytest.raises(ValueError):
-                siv_oracle(g, 3, 4, EVEN, wrong)
-            with pytest.raises(ValueError):
-                siv_oracle(g, 3, 4, EVEN, wrong, adjugate)
-
-    def test_adjugate_without_polynomial_refused(self):
-        g = SignedGraph.all_even(4, [(1, 2), (2, 3)])
-        _, adjugate = laplacian_pass(g)
-        with pytest.raises(ValueError):
-            siv_oracle(g, 3, 4, EVEN, adjugate=adjugate)
+            polynomial_after(IntPoly((0,) * g.n + (1,)), verdict)
 
 
 class TestVerifyShiftIdentity:
