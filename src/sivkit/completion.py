@@ -132,7 +132,6 @@ def swap_y(t: SignedComplete) -> SignedComplete:
     Afterwards that edge joins the all-even set and no balanced all-odd edge
     remains, so the operation is idempotent.
     """
-    _require_order_at_least_four(t)
     return SignedComplete(t.n, t.odd ^ y_set(t))
 
 
@@ -265,7 +264,6 @@ class QuotientDecomposition:
 
 
 def quotient_decomposition(t: SignedComplete) -> QuotientDecomposition:
-    _require_order_at_least_four(t)
     # A vertex's closed X-neighbourhood is its part exactly when every
     # component is complete.  Each part is read at its smallest vertex, the
     # one below every other bit of its mask; a component that is not complete
@@ -346,8 +344,26 @@ def is_plain_integrally_completable(n: int, edges: Iterable[Edge]) -> bool:
     return _nested(n, [e for e in combinations(range(1, n + 1), 2) if e not in present])
 
 
-def _sign_restriction_matches(g: SignedGraph, target: SignedComplete) -> bool:
-    return g.odd == target.odd & g.edges
+def _split_missing(
+    g: SignedGraph, target: SignedComplete
+) -> tuple[list[Edge], list[Edge], list[int]] | None:
+    """The completability decision: the sorted missing Y edges, the sorted
+    missing X edges and the closed masks of M, the graph those X edges form;
+    None when g is not completable.  On at most three vertices only the signs
+    matter, and every missing edge goes with the X edges."""
+    if g.n != target.n:
+        raise ValueError("vertex counts differ")
+    if g.odd != target.odd & g.edges:
+        return None
+    missing = [e for e in target.all_edges() if e not in g.edges]
+    if g.n <= 3:
+        return [], missing, _closed_masks(g.n, missing)
+    y = y_set(target)
+    pool = [e for e in missing if e not in y]
+    closed = _closed_masks(g.n, pool)
+    if not x_set(target).issuperset(pool) or not all(_nested_at(closed, v) for v in target.vertices):
+        return None
+    return [e for e in missing if e in y], pool, closed
 
 
 def is_sigma_completable(g: SignedGraph, target: SignedComplete) -> bool:
@@ -360,17 +376,7 @@ def is_sigma_completable(g: SignedGraph, target: SignedComplete) -> bool:
     must be plainly completable.  On at most three vertices only the sign
     restriction matters.
     """
-    if g.n != target.n:
-        raise ValueError("vertex counts differ")
-    if not _sign_restriction_matches(g, target):
-        return False
-    if g.n <= 3:
-        return True
-    missing = set(target.all_edges()) - g.edges
-    x = x_set(target)
-    if not missing <= x | y_set(target):
-        return False
-    return _nested(g.n, x - g.edges)
+    return _split_missing(g, target) is not None
 
 
 @dataclass(frozen=True)
@@ -394,11 +400,12 @@ class CompletionPlan:
     steps: tuple[PlanStep, ...]
 
 
-def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
-    """Build a certified addition sequence from g to the target.
+def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan | None:
+    """Build a certified addition sequence from g to the target; None exactly
+    when is_sigma_completable is false.
 
     The balanced all-odd edge (when missing) goes first; the remaining
-    missing edges are all-even-triangle edges and are added greedily, each
+    missing edges are all-even-triangle edges and are ordered greedily, each
     chosen so the completability predicate stays true.  Every step carries
     its own verified oracle verdict.
 
@@ -407,17 +414,32 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
     (polynomial_after, which re-checks the verdict against it), and char_poly
     of the final graph checks the chain.
     """
-    if not is_sigma_completable(g, target):
-        raise ValueError("graph is not integrally completable toward the target")
-    missing = sorted(set(target.all_edges()) - g.edges)
-    y_first = sorted(set(missing) & y_set(target)) if target.n >= 4 else []
-    pool = [e for e in missing if e not in y_first]
+    split = _split_missing(g, target)
+    if split is None:
+        return None
+    order, pool, closed = split
+    # Every addition keeps the target's signs and leaves only all-even edges
+    # missing, so of the completability conditions only the plain one can
+    # change, and M is the pool; the order depends on M alone.  M passes
+    # before every step (below four vertices every M does), and removing uv
+    # changes only closed[u] and closed[v], so only u and v are re-checked.
+    while pool:
+        for e in pool:
+            u, v = e
+            closed[u] ^= 1 << v
+            closed[v] ^= 1 << u
+            if _nested_at(closed, u) and _nested_at(closed, v):
+                order.append(e)
+                pool.remove(e)
+                break
+            closed[u] ^= 1 << v
+            closed[v] ^= 1 << u
+        else:
+            raise RuntimeError("no admissible edge addition found")
     steps: list[PlanStep] = []
     current = g
     p = laplacian_char_poly(g)
-
-    def commit(e: Edge) -> None:
-        nonlocal current, p
+    for e in order:
         parity = target.parity(*e)
         verdict = siv_oracle(current, *e, parity)
         if verdict.kind == NONE:
@@ -425,29 +447,7 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan:
         steps.append(PlanStep(e, parity, verdict))
         current = current.add_edge(*e, parity)
         p = polynomial_after(p, verdict)
-
-    for e in y_first:
-        commit(e)
-    # Every addition keeps the target's signs and leaves only all-even edges
-    # missing, so of the completability conditions only the plain one can
-    # change, and M is the pool.  It passes every graph below four vertices:
-    # the order is sorted.  M passes before every step, and removing uv
-    # changes only closed[u] and closed[v], so only u and v are re-checked.
-    closed = _closed_masks(target.n, pool)
-    while pool:
-        for e in pool:
-            u, v = e
-            closed[u] ^= 1 << v
-            closed[v] ^= 1 << u
-            if _nested_at(closed, u) and _nested_at(closed, v):
-                commit(e)
-                pool.remove(e)
-                break
-            closed[u] ^= 1 << v
-            closed[v] ^= 1 << u
-        else:
-            raise RuntimeError("no admissible edge addition found")
-    if current != target.to_signed_graph():
+    if current.odd != target.odd or len(current.edges) != target.n * (target.n - 1) // 2:
         raise RuntimeError("plan did not reach the target")
     if p != laplacian_char_poly(current):
         raise RuntimeError("the polynomial carried through the plan is not the target's")
@@ -467,7 +467,7 @@ def brute_force_completable(
     """
     if g.n != target.n:
         raise ValueError("vertex counts differ")
-    if not _sign_restriction_matches(g, target):
+    if g.odd != target.odd & g.edges:
         return False
     if memo is None:
         memo = {}

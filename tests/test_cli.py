@@ -173,6 +173,30 @@ class TestCompletableAndPlan:
         assert main(["plan", gpath, tpath]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "not completable"
 
+    def test_plan_decides_once(self, tmp_path, capsys, monkeypatch):
+        # one plan reads the completability decision once: the triangle-parity
+        # sets once each, and the boolean wrapper not at all
+        calls = {"x_set": 0, "y_set": 0, "is_sigma_completable": 0}
+
+        def counting(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(completion, name, counting(name, getattr(completion, name)))
+        monkeypatch.setattr(cli, "is_sigma_completable", completion.is_sigma_completable)
+        # a signed K7 whose balanced all-odd edge 12 is missing
+        odd = [(2, u) for u in range(3, 8)] + [(3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]
+        t = SignedComplete.of(7, odd)
+        gpath = write_sg(tmp_path, "g.sg", t.to_signed_graph().remove_edge(1, 2))
+        tpath = write_sk(tmp_path, "t.sk", t)
+        assert main(["plan", gpath, tpath]) == EXIT_OK
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["edge"] == [1, 2]
+        assert calls == {"x_set": 1, "y_set": 1, "is_sigma_completable": 0}
+
 
 class TestInternalFailures:
     """An internal invariant failure exits 2 with a one-line message."""
