@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping
 
 from .graphs import EVEN, ODD, Edge, SignedGraph, _check_pairs, edge
-from .polynomials import IntPoly
+from .polynomials import IntPoly, _mul_coeffs
 from .spectra import (
     NONE,
     SivVerdict,
@@ -55,9 +56,6 @@ class SignedComplete:
         e = edge(u, v)
         _check_pairs(self.n, (e,))
         return ODD if e in self.odd else EVEN
-
-    def to_signed_graph(self) -> SignedGraph:
-        return SignedGraph.complete(self.n, self.odd)
 
     @cached_property
     def _pair_counts(self) -> dict[Edge, int]:
@@ -264,11 +262,17 @@ class QuotientDecomposition:
 
 
 def quotient_decomposition(t: SignedComplete) -> QuotientDecomposition:
+    return _decompose(t, x_set(t))
+
+
+def _decompose(t: SignedComplete, x_edges: Iterable[Edge]) -> QuotientDecomposition:
+    """quotient_decomposition along the given all-even-triangle edges; with
+    none, every vertex is its own part and the quotient is t."""
     # A vertex's closed X-neighbourhood is its part exactly when every
     # component is complete.  Each part is read at its smallest vertex, the
     # one below every other bit of its mask; a component that is not complete
     # has a member whose mask differs from that of its smallest vertex.
-    closed = _closed_masks(t.n, x_set(t))
+    closed = _closed_masks(t.n, x_edges)
     parts: list[tuple[int, ...]] = []
     for v in t.vertices:
         mask = closed[v]
@@ -298,6 +302,29 @@ def quotient_decomposition(t: SignedComplete) -> QuotientDecomposition:
         quotient=SignedComplete(len(parts), frozenset(quotient_odd)),
         switching_set=frozenset(switching),
     )
+
+
+def _target_char_poly(t: SignedComplete, x_edges: Iterable[Edge]) -> IntPoly:
+    """det(xI - L) for the target's Laplacian L, from its quotient along
+    x_edges, its all-even-triangle edges.
+
+    Switched so that each of the k parts is all-even, any vector that sums to
+    zero inside one part and is zero elsewhere is an eigenvector of L for n.
+    On the vectors constant on each part L acts as the k x k matrix M with
+    M_ii = n - s_i, and M_ij = s_j for an odd quotient pair and -s_j for an
+    even one, s_i the part sizes.  So det(xI - L) = det(xI - M) (x - n)^(n - k).
+    """
+    deco = _decompose(t, x_edges)
+    n, k = t.n, deco.k
+    sizes = [len(part) for part in deco.parts]
+    m = [[-s for s in sizes] for _ in sizes]
+    for a, b in deco.quotient.odd:
+        m[a - 1][b - 1] = sizes[b - 1]
+        m[b - 1][a - 1] = sizes[a - 1]
+    for i, s in enumerate(sizes):
+        m[i][i] = n - s
+    power = [comb(n - k, i) * (-n) ** (n - k - i) for i in range(n - k + 1)]
+    return IntPoly(_mul_coeffs(char_poly(m).coeffs, power))
 
 
 def _closed_masks(n: int, m: Iterable[Edge]) -> list[int]:
@@ -346,24 +373,25 @@ def is_plain_integrally_completable(n: int, edges: Iterable[Edge]) -> bool:
 
 def _split_missing(
     g: SignedGraph, target: SignedComplete
-) -> tuple[list[Edge], list[Edge], list[int]] | None:
+) -> tuple[list[Edge], list[Edge], list[int], frozenset[Edge]] | None:
     """The completability decision: the sorted missing Y edges, the sorted
-    missing X edges and the closed masks of M, the graph those X edges form;
-    None when g is not completable.  On at most three vertices only the signs
-    matter, and every missing edge goes with the X edges."""
+    missing X edges, the closed masks of M, the graph those X edges form, and
+    the target's X set; None when g is not completable.  On at most three
+    vertices only the signs matter, every missing edge goes with the X edges,
+    and the X set is given as empty, so that every vertex is its own part."""
     if g.n != target.n:
         raise ValueError("vertex counts differ")
     if g.odd != target.odd & g.edges:
         return None
     missing = [e for e in target.all_edges() if e not in g.edges]
     if g.n <= 3:
-        return [], missing, _closed_masks(g.n, missing)
-    y = y_set(target)
+        return [], missing, _closed_masks(g.n, missing), frozenset()
+    x, y = x_set(target), y_set(target)
     pool = [e for e in missing if e not in y]
     closed = _closed_masks(g.n, pool)
-    if not x_set(target).issuperset(pool) or not all(_nested_at(closed, v) for v in target.vertices):
+    if not x.issuperset(pool) or not all(_nested_at(closed, v) for v in target.vertices):
         return None
-    return [e for e in missing if e in y], pool, closed
+    return [e for e in missing if e in y], pool, closed, x
 
 
 def is_sigma_completable(g: SignedGraph, target: SignedComplete) -> bool:
@@ -411,13 +439,14 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan | 
 
     The oracle reads each step from one or two products L y.  The Laplacian
     polynomial is carried from step to step by each verdict's own identity
-    (polynomial_after, which re-checks the verdict against it), and char_poly
-    of the final graph checks the chain.
+    (polynomial_after, which re-checks the verdict against it), and the
+    target's polynomial checks the chain: det(xI - M) (x - n)^(n - k), from
+    the k x k matrix M of its quotient along the X set (_target_char_poly).
     """
     split = _split_missing(g, target)
     if split is None:
         return None
-    order, pool, closed = split
+    order, pool, closed, x_edges = split
     # Every addition keeps the target's signs and leaves only all-even edges
     # missing, so of the completability conditions only the plain one can
     # change, and M is the pool; the order depends on M alone.  M passes
@@ -449,7 +478,7 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan | 
         p = polynomial_after(p, verdict)
     if current.odd != target.odd or len(current.edges) != target.n * (target.n - 1) // 2:
         raise RuntimeError("plan did not reach the target")
-    if p != laplacian_char_poly(current):
+    if p != _target_char_poly(target, x_edges):
         raise RuntimeError("the polynomial carried through the plan is not the target's")
     return CompletionPlan(start=g, target=target, steps=tuple(steps))
 

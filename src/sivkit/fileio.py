@@ -13,12 +13,13 @@ from .graphs import Edge, SignedGraph, edge
 
 # The largest vertex count read from a file or sampled by the CLI.  `plan`
 # toward an all-even target is the binding command: at 38 vertices it takes
-# 0.21-0.34 s from the empty graph, a star or a 4- or 6-clique plus isolated
-# vertices, the slowest starts found (in-process, best of two per start in
-# each of three rounds, in two processes, 2-vCPU Xeon).  At 38 every other
-# command takes under 0.25 s: `spectrum` of a signed K38 (0.03-0.07 s) and
-# `check-siv` on K38 minus an edge (0.02-0.04 s), `xy`, `decompose`,
-# `completable` (0.002 s or less), and a sampled sweep of one graph (0.2 s).
+# 0.07-0.15 s from the empty graph, a star or a 4- or 6-clique plus isolated
+# vertices, the slowest starts found (in-process through cli.main, best of
+# two per start in each of three rounds, in four processes, 2-vCPU Xeon).
+# At 38 every other command takes under 0.1 s: `spectrum` of a signed K38
+# (0.04 s), `check-siv` on K38 minus an edge (0.07 s), `xy`, `decompose`,
+# `completable` (0.002 s or less), and a sampled sweep of one graph
+# (0.06-0.09 s).
 MAX_VERTICES = 38
 
 

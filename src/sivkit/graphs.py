@@ -261,16 +261,22 @@ def _check_pair(g: SignedGraph, v: int, w: int) -> None:
 def _laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
     """L y for g's signed Laplacian L, with y and the result given by their
     nonzero entries (vertex -> value).  Each entry y_j adds column j of L:
-    deg(j) y_j at j, and -y_j or +y_j at each even or odd neighbour of j.  So
-    the product costs the degrees summed over y's support, and no row of L
-    is built."""
-    out: dict[int, int] = {}
+    deg(j) y_j at j, and -y_j or +y_j at each even or odd neighbour of j,
+    summed into a list indexed by vertex.  So the product costs n plus the
+    degrees summed over y's support, and no row of L is built.  The keys of
+    y must be vertices of g; the callers' keys are checked vertices or come
+    from g's adjacency."""
+    adj = g._adj
+    out = [0] * (g.n + 1)
     for j, c in y.items():
-        adj = g.adjacency(j)
-        out[j] = out.get(j, 0) + len(adj) * c
-        for x, is_odd in adj.items():
-            out[x] = out.get(x, 0) + (c if is_odd else -c)
-    return {x: c for x, c in out.items() if c}
+        row = adj[j]
+        out[j] += len(row) * c
+        for x, is_odd in row.items():
+            if is_odd:
+                out[x] += c
+            else:
+                out[x] -= c
+    return {x: c for x, c in enumerate(out) if c}
 
 
 def is_centered(g: SignedGraph, v: int, w: int) -> bool:

@@ -141,6 +141,8 @@ class Type2Certificate:
 
     def residuals_are_zero(self, g: SignedGraph) -> bool:
         """L*x == -p*y and L*y == x + s*y, with L*x and L*y from _laplacian_times."""
+        for u in self.order:
+            g._check_vertex(u)
         x, y = dict(zip(self.order, self.x)), dict(zip(self.order, self.y))
         lx, ly = _laplacian_times(g, x), _laplacian_times(g, y)
         s, p = self.s, self.p

@@ -460,7 +460,7 @@ def test_criterion_09_planner_soundness(completability):
             if not verify_shift_identity(before, after, step.verdict):
                 sound = False
             steps_total += 1
-        if not sound or current != t.to_signed_graph():
+        if not sound or current != SignedGraph.complete(t.n, t.odd):
             bad += 1
     ok = bad == 0
     report(

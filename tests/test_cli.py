@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -146,7 +147,7 @@ class TestDecompose:
 class TestCompletableAndPlan:
     def test_completable_true(self, tmp_path, capsys):
         t = SignedComplete.of(4, [(1, 2)])
-        g = t.to_signed_graph().remove_edge(3, 4)
+        g = SignedGraph.complete(t.n, t.odd).remove_edge(3, 4)
         gpath = write_sg(tmp_path, "g.sg", g)
         tpath = write_sk(tmp_path, "t.sk", t)
         assert main(["completable", gpath, tpath]) == EXIT_OK
@@ -154,7 +155,7 @@ class TestCompletableAndPlan:
 
     def test_plan_single_step(self, tmp_path, capsys):
         t = SignedComplete.of(4, [(1, 2)])
-        g = t.to_signed_graph().remove_edge(3, 4)
+        g = SignedGraph.complete(t.n, t.odd).remove_edge(3, 4)
         gpath = write_sg(tmp_path, "g.sg", g)
         tpath = write_sk(tmp_path, "t.sk", t)
         assert main(["plan", gpath, tpath]) == EXIT_OK
@@ -167,7 +168,7 @@ class TestCompletableAndPlan:
 
     def test_plan_not_completable(self, tmp_path, capsys):
         t = SignedComplete.of(4, [(1, 2)])
-        g = t.to_signed_graph().remove_edge(1, 3)
+        g = SignedGraph.complete(t.n, t.odd).remove_edge(1, 3)
         gpath = write_sg(tmp_path, "g.sg", g)
         tpath = write_sk(tmp_path, "t.sk", t)
         assert main(["plan", gpath, tpath]) == EXIT_OK
@@ -190,7 +191,7 @@ class TestCompletableAndPlan:
         # a signed K7 whose balanced all-odd edge 12 is missing
         odd = [(2, u) for u in range(3, 8)] + [(3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]
         t = SignedComplete.of(7, odd)
-        gpath = write_sg(tmp_path, "g.sg", t.to_signed_graph().remove_edge(1, 2))
+        gpath = write_sg(tmp_path, "g.sg", SignedGraph.complete(t.n, t.odd).remove_edge(1, 2))
         tpath = write_sk(tmp_path, "t.sk", t)
         assert main(["plan", gpath, tpath]) == EXIT_OK
         (line,) = capsys.readouterr().out.splitlines()
@@ -204,7 +205,7 @@ class TestInternalFailures:
     def test_failed_plan_step(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(completion, "siv_oracle", lambda *args: SivVerdict("none"))
         t = SignedComplete.of(4, [(1, 2)])
-        gpath = write_sg(tmp_path, "g.sg", t.to_signed_graph().remove_edge(3, 4))
+        gpath = write_sg(tmp_path, "g.sg", SignedGraph.complete(t.n, t.odd).remove_edge(3, 4))
         tpath = write_sk(tmp_path, "t.sk", t)
         assert main(["plan", gpath, tpath]) == EXIT_VIOLATION
         captured = capsys.readouterr()
@@ -234,8 +235,25 @@ class TestInternalFailures:
     def test_carried_polynomial_left_unmoved(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(completion, "polynomial_after", lambda p, verdict: p)
         t = SignedComplete.of(4, [(1, 2)])
-        gpath = write_sg(tmp_path, "g.sg", t.to_signed_graph().remove_edge(3, 4))
+        gpath = write_sg(tmp_path, "g.sg", SignedGraph.complete(t.n, t.odd).remove_edge(3, 4))
         tpath = write_sk(tmp_path, "t.sk", t)
+        assert main(["plan", gpath, tpath]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the polynomial carried through the plan is not the target's\n"
+
+    def test_tampered_decomposition(self, tmp_path, capsys, monkeypatch):
+        # the end check reads the target's polynomial off its quotient; a
+        # first part that loses a vertex gives another polynomial
+        decompose = completion._decompose
+
+        def dropping_a_vertex(t, x_edges):
+            deco = decompose(t, x_edges)
+            return replace(deco, parts=(deco.parts[0][1:],) + deco.parts[1:])
+
+        monkeypatch.setattr(completion, "_decompose", dropping_a_vertex)
+        gpath = write_sg(tmp_path, "g.sg", SignedGraph.all_even(4, [(1, 2), (1, 3), (1, 4)]))
+        tpath = write_sk(tmp_path, "t.sk", SignedComplete.of(4))
         assert main(["plan", gpath, tpath]) == EXIT_VIOLATION
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -190,7 +190,7 @@ class TestYSet:
 
 class TestSwitchingInvarianceOfTriangleSets:
     def switched_complete(self, t, s):
-        g = switch_at(t.to_signed_graph(), s)
+        g = switch_at(SignedGraph.complete(t.n, t.odd), s)
         return SignedComplete(t.n, g.odd)
 
     def test_exhaustive_k4(self):
@@ -359,7 +359,7 @@ class TestQuotientDecomposition:
             parts = {
                 i + 1: SignedGraph.complete(len(p)) for i, p in enumerate(deco.parts)
             }
-            rebuilt = substitute(deco.quotient.to_signed_graph(), parts)
+            rebuilt = substitute(SignedGraph.complete(deco.quotient.n, deco.quotient.odd), parts)
             # map rebuilt labels back to the original ones
             relabel = {}
             offset = 0
@@ -375,10 +375,56 @@ class TestQuotientDecomposition:
                 if (a, b) in rebuilt.odd:
                     mapped_odd.add((u, v))
             mapped = SignedGraph(t.n, frozenset(mapped_edges), frozenset(mapped_odd))
-            assert switching_equivalent(mapped, t.to_signed_graph()).equivalent
+            assert switching_equivalent(mapped, SignedGraph.complete(t.n, t.odd)).equivalent
             # and the stated switching set makes every all-even-triangle edge even
-            switched = switch_at(t.to_signed_graph(), deco.switching_set)
+            switched = switch_at(SignedGraph.complete(t.n, t.odd), deco.switching_set)
             assert all(e not in switched.odd for e in x_set(t))
+
+
+def blow_up_target(rng: random.Random, n: int, k: int) -> SignedComplete:
+    """Signed K_n from a random signed K_k quotient with every part nonempty,
+    switched at a random set."""
+    labels = [i % k for i in range(n)]
+    rng.shuffle(labels)
+    part = dict(zip(range(1, n + 1), labels))
+    odd_parts = {e for e in combinations(range(k), 2) if rng.random() < 0.5}
+    flipped = {v for v in range(1, n + 1) if rng.random() < 0.5}
+    odd = [
+        (u, v)
+        for u, v in all_pairs(n)
+        if ((min(part[u], part[v]), max(part[u], part[v])) in odd_parts)
+        ^ (u in flipped)
+        ^ (v in flipped)
+    ]
+    return SignedComplete.of(n, odd)
+
+
+class TestTargetCharPoly:
+    """The plan's end check, det(xI - M) (x - n)^(n - k) from the quotient,
+    against char_poly of the whole target."""
+
+    @staticmethod
+    def assert_matches(t: SignedComplete) -> None:
+        full = SignedGraph.complete(t.n, t.odd)
+        # the X set as the planner has it: empty below four vertices
+        x_edges = completion._split_missing(full, t)[3]
+        assert completion._target_char_poly(t, x_edges) == laplacian_char_poly(full), t
+
+    def test_every_signed_complete_up_to_five(self):
+        for n in range(1, 6):
+            for t in iter_signed_completes(n):
+                self.assert_matches(t)
+
+    def test_seeded_blow_ups(self):
+        rng = random.Random("target-char-poly")
+        for n in range(6, 39):
+            for k in (1, rng.randint(2, n - 1), n):
+                self.assert_matches(blow_up_target(rng, n, k))
+
+    def test_targets_with_a_y_edge(self):
+        for t in (k7_balanced_instance(), k11_balanced_instance()):
+            assert y_set(t)
+            self.assert_matches(t)
 
 
 class TestPlainCompletable:
@@ -446,16 +492,16 @@ class TestPlainCompletable:
 class TestIsSigmaCompletable:
     def test_target_itself(self):
         t = SignedComplete.of(4, [(1, 2)])
-        assert is_sigma_completable(t.to_signed_graph(), t)
+        assert is_sigma_completable(SignedGraph.complete(t.n, t.odd), t)
 
     def test_missing_x_edge(self):
         t = SignedComplete.of(4, [(1, 2)])
-        g = t.to_signed_graph().remove_edge(3, 4)
+        g = SignedGraph.complete(t.n, t.odd).remove_edge(3, 4)
         assert is_sigma_completable(g, t)
 
     def test_missing_non_x_edge(self):
         t = SignedComplete.of(4, [(1, 2)])
-        g = t.to_signed_graph().remove_edge(1, 3)
+        g = SignedGraph.complete(t.n, t.odd).remove_edge(1, 3)
         assert not is_sigma_completable(g, t)
 
     def test_sign_restriction(self):
@@ -519,7 +565,7 @@ def pinned_plan_starts() -> list[tuple[SignedGraph, SignedComplete]]:
         for _ in range(10):
             t = random_signed_complete(rng, n)
             missing = [e for e in all_pairs(n) if rng.random() < 0.6]
-            cases.append((remove_edges(t.to_signed_graph(), missing), t))
+            cases.append((remove_edges(SignedGraph.complete(t.n, t.odd), missing), t))
     targets = [part_target(rng, n) for n in range(4, 11) for _ in range(12)]
     t7 = k7_balanced_instance()
     targets += [t7, t7]
@@ -531,7 +577,7 @@ def pinned_plan_starts() -> list[tuple[SignedGraph, SignedComplete]]:
         missing = set(y_set(t)) if rng.random() < 0.8 else set()
         for part in quotient_decomposition(t).parts:
             missing |= forest_closure(rng, part)
-        cases.append((remove_edges(t.to_signed_graph(), sorted(missing)), t))
+        cases.append((remove_edges(SignedGraph.complete(t.n, t.odd), sorted(missing)), t))
     return cases
 
 
@@ -568,22 +614,22 @@ class TestPlanCompletion:
 
     def test_empty_plan_for_target(self):
         t = SignedComplete.of(4, [(1, 2)])
-        plan = plan_completion(t.to_signed_graph(), t)
+        plan = plan_completion(SignedGraph.complete(t.n, t.odd), t)
         assert plan.steps == ()
 
     def test_single_step(self):
         t = SignedComplete.of(4, [(1, 2)])
-        g = t.to_signed_graph().remove_edge(3, 4)
+        g = SignedGraph.complete(t.n, t.odd).remove_edge(3, 4)
         plan = plan_completion(g, t)
         assert len(plan.steps) == 1
         step = plan.steps[0]
         assert step.edge == (3, 4) and step.parity == EVEN
         assert step.verdict.kind == "type1"
-        assert final_graph(plan) == t.to_signed_graph()
+        assert final_graph(plan) == SignedGraph.complete(t.n, t.odd)
 
     def test_k7_balanced_edge_step(self):
         t = k7_balanced_instance()
-        g = t.to_signed_graph().remove_edge(1, 2)
+        g = SignedGraph.complete(t.n, t.odd).remove_edge(1, 2)
         plan = plan_completion(g, t)
         assert len(plan.steps) == 1
         step = plan.steps[0]
@@ -592,7 +638,7 @@ class TestPlanCompletion:
 
     def test_not_completable_rejected(self):
         t = SignedComplete.of(4, [(1, 2)])
-        g = t.to_signed_graph().remove_edge(1, 3)
+        g = SignedGraph.complete(t.n, t.odd).remove_edge(1, 3)
         assert plan_completion(g, t) is None
 
     def test_multi_step_plan_is_certified(self):
@@ -606,7 +652,7 @@ class TestPlanCompletion:
             current = current.add_edge(*step.edge, step.parity)
             after = laplacian_char_poly(current)
             assert verify_shift_identity(before, after, step.verdict)
-        assert current == t.to_signed_graph()
+        assert current == SignedGraph.complete(t.n, t.odd)
 
     def test_small_order_plan(self):
         # below four vertices every addition is an integral step
@@ -615,11 +661,11 @@ class TestPlanCompletion:
         plan = plan_completion(g, t)
         assert len(plan.steps) == 3
         assert all(s.verdict.kind in ("type1", "type2") for s in plan.steps)
-        assert final_graph(plan) == t.to_signed_graph()
+        assert final_graph(plan) == SignedGraph.complete(t.n, t.odd)
 
     def test_plan_step_json(self):
         t = SignedComplete.of(4, [(1, 2)])
-        g = t.to_signed_graph().remove_edge(3, 4)
+        g = SignedGraph.complete(t.n, t.odd).remove_edge(3, 4)
         step = plan_completion(g, t).steps[0]
         payload = step.to_json_dict()
         assert payload["edge"] == [3, 4]
@@ -630,18 +676,18 @@ class TestPlanCompletion:
 class TestBruteForce:
     def test_target_itself(self):
         t = SignedComplete.of(4, [(1, 2)])
-        assert brute_force_completable(t.to_signed_graph(), t)
+        assert brute_force_completable(SignedGraph.complete(t.n, t.odd), t)
 
     def test_blocked_instance(self):
         t = SignedComplete.of(4, [(1, 2)])
-        g = t.to_signed_graph().remove_edge(1, 3)
+        g = SignedGraph.complete(t.n, t.odd).remove_edge(1, 3)
         assert not brute_force_completable(g, t)
 
     def test_agreement_small_orders(self):
         # n <= 3: completability is exactly the sign restriction
         for n in (2, 3):
             for t in iter_signed_completes(n):
-                full = t.to_signed_graph()
+                full = SignedGraph.complete(t.n, t.odd)
                 for drop in range(len(all_pairs(n)) + 1):
                     for combo in combinations(all_pairs(n), drop):
                         g = remove_edges(full, combo)
@@ -712,7 +758,7 @@ def one_step_states(rng: random.Random, count: int) -> list[tuple[SignedGraph, S
                 missing |= forest_closure(rng, part)
         else:
             missing |= {e for e in x if rng.random() < 0.5}
-        g = remove_edges(t.to_signed_graph(), sorted(missing))
+        g = remove_edges(SignedGraph.complete(t.n, t.odd), sorted(missing))
         spoil = rng.random()
         others = sorted(g.edges - x - y)
         if spoil < 0.125 and others:

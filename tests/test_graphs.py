@@ -1,3 +1,4 @@
+import random
 import re
 from types import MappingProxyType
 
@@ -24,11 +25,13 @@ from sivkit import (
     switching_normal_form,
 )
 from sivkit.enumeration import cross_check, iter_signed_graphs, iter_signings
+from sivkit.graphs import _laplacian_times
 
 from conftest import (
     all_switch_sets,
     brute_force_switch_equivalent,
     graphs_with_nonadjacent_pair,
+    random_graphs,
     signed_graphs,
 )
 
@@ -140,7 +143,7 @@ class TestSignedGraph:
         # a target whose balanced all-odd edge (1, 2) is missing: a type-2 step
         odd = [(2, u) for u in range(3, 8)] + [(3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]
         t = SignedComplete.of(7, odd)
-        plan = plan_completion(t.to_signed_graph().remove_edge(1, 2), t)
+        plan = plan_completion(SignedGraph.complete(t.n, t.odd).remove_edge(1, 2), t)
         assert [s.verdict.kind for s in plan.steps] == ["type2"]
 
 
@@ -355,6 +358,38 @@ class TestEdgeQuantities:
                     len(split.C),
                     len(split.D),
                 )
+
+
+def dense_laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
+    """L y from the dense n x n signed Laplacian, built from the edge set."""
+    lap = [[0] * (g.n + 1) for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        sign = 1 if (u, v) in g.odd else -1
+        lap[u][v] = lap[v][u] = sign
+        lap[u][u] += 1
+        lap[v][v] += 1
+    out = {u: sum(lap[u][j] * c for j, c in y.items()) for u in g.vertices}
+    return {u: c for u, c in out.items() if c}
+
+
+class TestLaplacianTimes:
+    def test_against_the_dense_product(self):
+        rng = random.Random("laplacian-times")
+        for n in (1, 2, 4, 7, 13):
+            for g in random_graphs(n, 20, n):
+                for _ in range(5):
+                    support = rng.sample(list(g.vertices), rng.randint(1, n))
+                    y = {j: rng.randint(-3, 3) for j in support}
+                    assert _laplacian_times(g, y) == dense_laplacian_times(g, y), (g, y)
+
+    def test_entries_cancel_at_common_neighbours(self):
+        # 3 is an even neighbour of 1 and of 2, 4 an even neighbour of 1 and
+        # an odd one of 2: L(e1 - e2) is 0 at 3, and L(e1 + e2) is 0 at 4
+        g = SignedGraph.of(4, [(1, 3, EVEN), (2, 3, EVEN), (1, 4, EVEN), (2, 4, ODD)])
+        minus = {1: 1, 2: -1}
+        plus = {1: 1, 2: 1}
+        assert _laplacian_times(g, minus) == dense_laplacian_times(g, minus) == {1: 2, 2: -2, 4: -2}
+        assert _laplacian_times(g, plus) == dense_laplacian_times(g, plus) == {1: 2, 2: 2, 3: -2}
 
 
 class TestSpectrumInvariance:

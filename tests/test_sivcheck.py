@@ -138,6 +138,12 @@ class TestType2Eigenvectors:
         assert cert.y == (-1, 1, 0)
         assert cert.residuals_are_zero(g)
 
+    def test_vertex_outside_the_graph_refused(self):
+        g, v, w = p2_plus_isolated()
+        cert = build_type2_eigenvectors(g, v, w, check_type2(g, v, w, EVEN))
+        with pytest.raises(ValueError, match="out of range"):
+            replace(cert, order=cert.order[:-1] + (g.n + 1,)).residuals_are_zero(g)
+
     def test_numeric_specialization(self):
         # x + r*y is an eigenvector for either root of x^2 - 2x; plugging a
         # numeric root r0 in must satisfy L v = r0 v.
