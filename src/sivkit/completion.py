@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import EVEN, ODD, Edge, SignedGraph, _check_pairs, edge
 from .polynomials import IntPoly, _mul_coeffs
@@ -21,7 +21,6 @@ from .spectra import (
     NONE,
     SivVerdict,
     char_poly,
-    _rechecked_verdicts,
     laplacian_char_poly,
     polynomial_after,
     siv_oracle,
@@ -133,28 +132,21 @@ def swap_y(t: SignedComplete) -> SignedComplete:
     return SignedComplete(t.n, t.odd ^ y_set(t))
 
 
-def part_blocks(
-    quotient: SignedGraph, parts: Mapping[int, SignedGraph]
-) -> dict[int, tuple[int, ...]]:
-    """Consecutive label blocks assigned to each quotient vertex."""
-    if set(parts) != set(quotient.vertices):
-        raise ValueError("every quotient vertex needs exactly one replacement graph")
-    blocks: dict[int, tuple[int, ...]] = {}
-    offset = 0
-    for q in quotient.vertices:
-        size = parts[q].n
-        blocks[q] = tuple(range(offset + 1, offset + size + 1))
-        offset += size
-    return blocks
-
-
 def substitute(quotient: SignedGraph, parts: Mapping[int, SignedGraph]) -> SignedGraph:
     """Blow each quotient vertex up into its replacement graph.
 
-    Replacement graphs keep their internal edges and signs; each quotient
-    edge becomes a complete bipartite join whose edges all copy its parity.
+    Quotient vertex q takes the next consecutive block of labels, one per
+    vertex of its replacement graph.  Replacement graphs keep their internal
+    edges and signs; each quotient edge becomes a complete bipartite join
+    whose edges all copy its parity.
     """
-    blocks = part_blocks(quotient, parts)
+    if set(parts) != set(quotient.vertices):
+        raise ValueError("every quotient vertex needs exactly one replacement graph")
+    blocks: dict[int, range] = {}
+    total = 0
+    for q in quotient.vertices:
+        blocks[q] = range(total + 1, total + parts[q].n + 1)
+        total += parts[q].n
     edges: set[Edge] = set()
     odd: set[Edge] = set()
     for q in quotient.vertices:
@@ -172,8 +164,26 @@ def substitute(quotient: SignedGraph, parts: Mapping[int, SignedGraph]) -> Signe
                 edges.add(e)
                 if is_odd:
                     odd.add(e)
-    total = sum(parts[q].n for q in quotient.vertices)
     return SignedGraph(total, frozenset(edges), frozenset(odd))
+
+
+def _coupling_matrix(
+    quotient: SignedGraph, sizes: Sequence[int], diagonal: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The k x k matrix by which a Laplacian acts on the vectors constant on
+    each part, for a quotient on 1..k whose vertex i stands for a part of
+    sizes[i - 1] vertices: M_ii = diagonal[i - 1], and M_ij = s_j for an odd
+    quotient pair ij, -s_j for an even one and 0 for no pair."""
+    rows = []
+    for i, d in enumerate(diagonal, 1):
+        adj = quotient.adjacency(i)
+        rows.append(
+            tuple(
+                d if j == i else 0 if j not in adj else s if adj[j] else -s
+                for j, s in enumerate(sizes, 1)
+            )
+        )
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -185,9 +195,7 @@ class SubstitutionSpectrum:
     m_matrix: tuple[tuple[int, ...], ...]
     m_poly: IntPoly
     shifted_poly: IntPoly
-    part_sizes: tuple[int, ...]
     part_eigenvalues: tuple[int, ...]
-    masses: tuple[int, ...]
 
     @property
     def total_poly(self) -> IntPoly:
@@ -206,8 +214,7 @@ def substitution_spectrum(
     if set(parts) != set(quotient.vertices):
         raise ValueError("every quotient vertex needs exactly one replacement graph")
     order = list(quotient.vertices)
-    sizes: dict[int, int] = {}
-    lams: dict[int, int] = {}
+    lams = []
     for q in order:
         part = parts[q]
         row_sums = {2 * len(part.odd_neighbors(u)) for u in part.vertices}
@@ -215,37 +222,20 @@ def substitution_spectrum(
             raise ValueError(
                 f"all-ones vector is not a Laplacian eigenvector of part {q}"
             )
-        sizes[q] = part.n
-        lams[q] = row_sums.pop()
-    masses = {
-        q: sum(sizes[x] for x in quotient.neighbors(q)) for q in order
-    }
-    rows = []
-    for i, qi in enumerate(order):
-        row = []
-        for j, qj in enumerate(order):
-            if i == j:
-                row.append(lams[qi] + masses[qi])
-            elif quotient.has_edge(qi, qj):
-                row.append(sizes[qj] if quotient.is_odd_edge(qi, qj) else -sizes[qj])
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    m_matrix = tuple(rows)
+        lams.append(row_sums.pop())
+    sizes = [parts[q].n for q in order]
+    masses = [sum(sizes[x - 1] for x in quotient.neighbors(q)) for q in order]
+    diagonal = [lam + mass for lam, mass in zip(lams, masses)]
+    m_matrix = _coupling_matrix(quotient, sizes, diagonal)
     shifted = IntPoly.one()
-    for q in order:
+    for q, mass, d in zip(order, masses, diagonal):
         poly = laplacian_char_poly(parts[q])
-        shifted_poly = poly.shifted(-masses[q])
-        shifted = shifted * shifted_poly.div_exact(
-            IntPoly((-(lams[q] + masses[q]), 1))
-        )
+        shifted = shifted * poly.shifted(-mass).div_exact(IntPoly((-d, 1)))
     return SubstitutionSpectrum(
         m_matrix=m_matrix,
         m_poly=char_poly(m_matrix),
         shifted_poly=shifted,
-        part_sizes=tuple(sizes[q] for q in order),
-        part_eigenvalues=tuple(lams[q] for q in order),
-        masses=tuple(masses[q] for q in order),
+        part_eigenvalues=tuple(lams),
     )
 
 
@@ -317,12 +307,10 @@ def _target_char_poly(t: SignedComplete, x_edges: Iterable[Edge]) -> IntPoly:
     deco = _decompose(t, x_edges)
     n, k = t.n, deco.k
     sizes = [len(part) for part in deco.parts]
-    m = [[-s for s in sizes] for _ in sizes]
-    for a, b in deco.quotient.odd:
-        m[a - 1][b - 1] = sizes[b - 1]
-        m[b - 1][a - 1] = sizes[a - 1]
-    for i, s in enumerate(sizes):
-        m[i][i] = n - s
+    # n is the target's own, not the sum of the sizes, so a decomposition
+    # that lost a vertex gives another polynomial
+    quotient = SignedGraph.complete(k, deco.quotient.odd)
+    m = _coupling_matrix(quotient, sizes, [n - s for s in sizes])
     power = [comb(n - k, i) * (-n) ** (n - k - i) for i in range(n - k + 1)]
     return IntPoly(_mul_coeffs(char_poly(m).coeffs, power))
 
@@ -481,41 +469,3 @@ def plan_completion(g: SignedGraph, target: SignedComplete) -> CompletionPlan | 
     if p != _target_char_poly(target, x_edges):
         raise RuntimeError("the polynomial carried through the plan is not the target's")
     return CompletionPlan(start=g, target=target, steps=tuple(steps))
-
-
-def brute_force_completable(
-    g: SignedGraph,
-    target: SignedComplete,
-    memo: dict[frozenset[Edge], bool] | None = None,
-) -> bool:
-    """Independent search oracle for completability: depth-first over edge
-    supersets, recursing only through additions the spectral oracle certifies.
-
-    States are memoized by their edge set (signs are pinned by the target).
-    A memo table may be shared across calls with the same target.
-    """
-    if g.n != target.n:
-        raise ValueError("vertex counts differ")
-    if g.odd != target.odd & g.edges:
-        return False
-    if memo is None:
-        memo = {}
-    full = frozenset(target.all_edges())
-    n = g.n
-    odd = target.odd
-
-    def reach(edges: frozenset[Edge]) -> bool:
-        if edges == full:
-            return True
-        known = memo.get(edges)
-        if known is not None:
-            return known
-        state = SignedGraph(n, edges, odd & edges)
-        missing = sorted(full - edges)
-        verdicts = _rechecked_verdicts(state, [(*e, ODD if e in odd else EVEN) for e in missing])
-        steps = [e for e, verdict in zip(missing, verdicts) if verdict.kind != NONE]
-        result = any(reach(edges | {e}) for e in steps)
-        memo[edges] = result
-        return result
-
-    return reach(g.edges)

@@ -140,9 +140,24 @@ class Type2Certificate:
     y: tuple[int, ...]
 
     def residuals_are_zero(self, g: SignedGraph) -> bool:
-        """L*x == -p*y and L*y == x + s*y, with L*x and L*y from _laplacian_times."""
+        """L*x == -p*y and L*y == x + s*y, with L*x and L*y from _laplacian_times.
+
+        Refused unless order lists distinct vertices, x and y have one entry
+        per vertex of order, and x and y are linearly independent: otherwise
+        x + r*y is zero for some r, and the identities hold for any s and p.
+        """
         for u in self.order:
             g._check_vertex(u)
+        if len(set(self.order)) != len(self.order) or not (
+            len(self.x) == len(self.y) == len(self.order)
+        ):
+            return False
+        # independent iff some 2x2 minor x_i y_j - x_j y_i is non-zero; every
+        # minor vanishes when each column is parallel to the first non-zero one
+        columns = list(zip(self.x, self.y))
+        x0, y0 = next((c for c in columns if c != (0, 0)), (0, 0))
+        if all(a * y0 == b * x0 for a, b in columns):
+            return False
         x, y = dict(zip(self.order, self.x)), dict(zip(self.order, self.y))
         lx, ly = _laplacian_times(g, x), _laplacian_times(g, y)
         s, p = self.s, self.p

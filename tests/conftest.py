@@ -8,7 +8,8 @@ polynomials alone, by a rational gcd, integer roots from synthetic
 division at every integer of a given range, switching equivalence from
 exhaustive search over all switching sets, the integral-variation
 conditions from switched copies of the graph in centered form, plain
-completability from a scan of every 4-vertex subset, and odd-triangle counts
+completability from a scan of every 4-vertex subset, completability from a
+depth-first search over certified edge additions, and odd-triangle counts
 from a scan of every triangle.  Below them are the generators and graph
 edits only tests need.
 """
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from sivkit import EVEN, ODD, IntPoly, SignedComplete, SignedGraph, SivVerdict
 from sivkit.enumeration import all_pairs, iter_subsets
+from sivkit.spectra import _rechecked_verdicts
 
 MAX_SEARCH_EXAMPLES = 120
 
@@ -91,6 +93,46 @@ def faddeev_leverrier(m) -> IntPoly:
         cols = list(zip(*mb))
         mb = [[sum(map(mul, row, col)) for col in cols] for row in a]
     return IntPoly(tuple(coeffs))
+
+
+def brute_force_completable(
+    g: SignedGraph,
+    target: SignedComplete,
+    memo: dict[frozenset, bool] | None = None,
+) -> bool:
+    """Independent search oracle for completability: depth-first over edge
+    supersets, recursing only through additions the spectral oracle certifies.
+
+    States are memoized by their edge set (signs are pinned by the target).
+    A memo table may be shared across calls with the same target.  Each
+    state's verdicts come from the library's sweep helper, which re-checks
+    the positive ones against the state's polynomial.
+    """
+    if g.n != target.n:
+        raise ValueError("vertex counts differ")
+    if g.odd != target.odd & g.edges:
+        return False
+    if memo is None:
+        memo = {}
+    full = frozenset(target.all_edges())
+    n = g.n
+    odd = target.odd
+
+    def reach(edges: frozenset) -> bool:
+        if edges == full:
+            return True
+        known = memo.get(edges)
+        if known is not None:
+            return known
+        state = SignedGraph(n, edges, odd & edges)
+        missing = sorted(full - edges)
+        verdicts = _rechecked_verdicts(state, [(*e, ODD if e in odd else EVEN) for e in missing])
+        steps = [e for e, verdict in zip(missing, verdicts) if verdict.kind != "none"]
+        result = any(reach(edges | {e}) for e in steps)
+        memo[edges] = result
+        return result
+
+    return reach(g.edges)
 
 
 def _divmod_poly(num: list, den: list) -> tuple[list, list]:

@@ -21,7 +21,6 @@ from sivkit import (
     ODD,
     SignedComplete,
     SignedGraph,
-    brute_force_completable,
     build_type2_eigenvectors,
     check_type2,
     classify,
@@ -49,7 +48,12 @@ from sivkit.enumeration import (
     random_signed_graph,
 )
 
-from conftest import iter_signed_completes, polynomial_verdict, random_signed_complete
+from conftest import (
+    brute_force_completable,
+    iter_signed_completes,
+    polynomial_verdict,
+    random_signed_complete,
+)
 
 SEED = 20260810
 RANDOM_GRAPHS_PER_ORDER = 5_000  # criterion 1: orders 6 and 7, two parities each

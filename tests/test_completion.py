@@ -11,12 +11,10 @@ from sivkit import (
     IntPoly,
     SignedComplete,
     SignedGraph,
-    brute_force_completable,
     is_plain_integrally_completable,
     is_sigma_completable,
     laplacian_char_poly,
     siv_oracle,
-    part_blocks,
     plan_completion,
     quotient_decomposition,
     substitute,
@@ -35,6 +33,7 @@ from sivkit.fileio import MAX_VERTICES
 from sivkit.spectra import polynomial_after
 
 from conftest import (
+    brute_force_completable,
     final_graph,
     four_subset_scan_completable,
     iter_signed_completes,
@@ -253,10 +252,11 @@ class TestSubstitute:
         assert out.parity(1, 3) == ODD and out.parity(2, 3) == ODD
 
     def test_blocks_are_consecutive(self):
-        q = SignedGraph.of(2, [(1, 2, EVEN)])
+        # the odd join is exactly {1, 2} x {3, 4, 5}, so the K2 part took the
+        # labels 1, 2 and the K3 part 3, 4, 5
+        q = SignedGraph.of(2, [(1, 2, ODD)])
         parts = {1: SignedGraph.complete(2), 2: SignedGraph.complete(3)}
-        blocks = part_blocks(q, parts)
-        assert blocks == {1: (1, 2), 2: (3, 4, 5)}
+        assert substitute(q, parts).odd == {(a, b) for a in (1, 2) for b in (3, 4, 5)}
 
     def test_missing_assignment_rejected(self):
         q = SignedGraph.of(2, [(1, 2, EVEN)])

@@ -229,6 +229,27 @@ class TestType2Eigenvectors:
                 refused_x += not replace(cert, x=tuple(x)).residuals_are_zero(centered)
         assert (instances, refused_p, refused_x) == (264, 264, 264)
 
+    def test_degenerate_certificates_are_refused(self):
+        # every one but the short one satisfies both identities at s = 2,
+        # p = 0, with nothing to check or with x + r*y zero at a root r, yet
+        # certifies no eigenvector pair
+        g, v, w = p2_plus_isolated()
+        cert = build_type2_eigenvectors(g, v, w, check_type2(g, v, w, EVEN))
+        assert cert.order == (1, 3, 2)
+        degenerate = {
+            "empty": replace(cert, x=(), y=()),
+            "no vertices": replace(cert, order=(), x=(), y=()),
+            "zero": replace(cert, x=(0, 0, 0), y=(0, 0, 0)),
+            "proportional, y = e_3 for 0": replace(cert, x=(0, -2, 0), y=(0, 1, 0)),
+            "zero x, y = e_1 - e_2 for 2": replace(cert, x=(0, 0, 0), y=(1, 0, -1)),
+            "short": replace(cert, x=cert.x[:2], y=cert.y[:2]),
+            "repeated vertex": replace(
+                cert, order=cert.order + (1,), x=cert.x + (cert.x[0],), y=cert.y + (cert.y[0],)
+            ),
+        }
+        for name, bad in degenerate.items():
+            assert not bad.residuals_are_zero(g), name
+
 
 class TestOracleEquivalenceSampled:
     @given(graphs_with_nonadjacent_pair(max_n=5))
