@@ -19,7 +19,7 @@ from .graphs import Edge, SignedGraph, edge
 # At 38 every other command takes under 0.1 s: `spectrum` of a signed K38
 # (0.04 s), `check-siv` on K38 minus an edge (0.07 s), `xy`, `decompose`,
 # `completable` (0.002 s or less), and a sampled sweep of one graph
-# (0.06-0.09 s).
+# (0.02-0.03 s, best of three calls for each of seeds 1-4).
 MAX_VERTICES = 38
 
 

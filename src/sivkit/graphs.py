@@ -252,9 +252,16 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingResult:
 
 
 def _check_pair(g: SignedGraph, v: int, w: int) -> None:
+    """Refuse v == w, a vertex outside g (v first) and an adjacent pair, in
+    that order, reading g's adjacency once."""
     if v == w:
         raise ValueError("v and w must be distinct")
-    if g.has_edge(v, w):
+    adj = g._adj
+    if v not in adj:
+        g._check_vertex(v)
+    if w not in adj:
+        g._check_vertex(w)
+    if w in adj[v]:
         raise ValueError(f"vertices {v} and {w} are adjacent")
 
 

@@ -58,8 +58,13 @@ def check_type2(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     """
     _check_parity(parity)
     _check_pair(g, v, w)
-    pi = parity != EVEN
-    av, aw = g.adjacency(v), g.adjacency(w)
+    return _type2(g, v, w, parity != EVEN)
+
+
+def _type2(g: SignedGraph, v: int, w: int, pi: bool) -> SivVerdict:
+    """check_type2 on a checked pair, pi true for an odd addition."""
+    adj = g._adj
+    av, aw = adj[v], adj[w]
     side = [False] * (g.n + 1)
     weight = [0] * (g.n + 1)
     side[w] = pi
@@ -84,10 +89,10 @@ def check_type2(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
 
     def rows_equal(block: list[int], target: int) -> bool:
         for u in block:
-            adj = g.adjacency(u)
+            row = adj[u]
             su = side[u]
-            total = weight[u] * len(adj)
-            for x, odd in adj.items():
+            total = weight[u] * len(row)
+            for x, odd in row.items():
                 wx = weight[x]
                 if wx:
                     total += wx if odd ^ su ^ side[x] else -wx
@@ -114,10 +119,11 @@ def classify(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     common degree of v and w."""
     _check_parity(parity)
     _check_pair(g, v, w)
-    av = g.adjacency(v)
-    if _same_signed_neighbors(av, g.adjacency(w), parity != EVEN):
+    pi = parity != EVEN
+    av = g._adj[v]
+    if _same_signed_neighbors(av, g._adj[w], pi):
         return SivVerdict(TYPE1, lam=len(av))
-    return check_type2(g, v, w, parity)
+    return _type2(g, v, w, pi)
 
 
 @dataclass(frozen=True)

@@ -285,12 +285,16 @@ def polynomial_after(p: IntPoly, verdict: SivVerdict) -> IntPoly:
 
 def _krylov_factor(g: SignedGraph, v: int, w: int, parity: str) -> tuple[int, ...] | None:
     """m, ascending, the monic polynomial of least degree with m(L) u = 0,
-    when u spans an L-invariant line or plane; None for any other u.  m is
-    x - lam when L u = lam u, and x^2 - a x - b when L^2 u = a L u + b u.
-    m divides the minimal polynomial of the integer matrix L, so a and b are
-    integers (Gauss's lemma): a is read by division at an entry of L u
-    outside v and w, where u is 0, b at v, and the plane is then checked
-    entry by entry.  It costs one or two sparse products L y.
+    when u spans an L-invariant line, or a plane whose relation
+    L^2 u = a L u + b u has a = d_v + d_w + 1; None for any other u.  m is
+    x - lam on a line and x^2 - a x - b on a plane.
+
+    With y1 = L u, a is known before L y1 is formed.  At an entry i of y1
+    outside v and w, where u is 0, the plane needs (L y1)_i = a y1_i, which
+    row i of L gives in deg(i) steps; only when it holds is y2 = L y1
+    formed, b read at v, and the plane checked entry by entry.  Entry i
+    fixes the a of any plane through u, so a plane with another a fails
+    there.  It costs one sparse product L y, or two when entry i passes.
     """
     sign = 1 if parity == ODD else -1
     y1 = _laplacian_times(g, {v: 1, w: sign})
@@ -300,10 +304,16 @@ def _krylov_factor(g: SignedGraph, v: int, w: int, parity: str) -> tuple[int, ..
     i = next((x for x in y1 if x != v and x != w), None)
     if i is None:
         return None
-    y2 = _laplacian_times(g, y1)
-    a, r = divmod(y2.get(i, 0), y1[i])
-    if r:
+    adj = g._adj
+    a = len(adj[v]) + len(adj[w]) + 1
+    row = adj[i]
+    at_i = len(row) * y1[i]  # (L y1)_i
+    for x, is_odd in row.items():
+        c = y1.get(x, 0)
+        at_i += c if is_odd else -c
+    if at_i != a * y1[i]:
         return None
+    y2 = _laplacian_times(g, y1)
     b = y2.get(v, 0) - a * y1.get(v, 0)
     plane = {x: a * c for x, c in y1.items()}  # a L u + b u
     plane[v] = plane.get(v, 0) + b
@@ -325,7 +335,7 @@ def siv_oracle(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     which has one simple pole at each eigenvalue in u's spectral support.
     One eigenvalue rising by 2 leaves one pole and two distinct eigenvalues
     rising by 1 leave two, so every positive u spans an L-invariant line or
-    plane (_krylov_factor), and any other u is none.
+    plane, and any other u is none.
 
       * L u = lam u: L + uu^T acts as L on u's complement, so lam alone
         rises by 2: type 1.
@@ -336,8 +346,11 @@ def siv_oracle(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
         exactly when m - r = m(x - 1), that is, a = d_v + d_w + 1; then the
         pair has sum s = a and product rho = -b.
 
-    No polynomial is formed.  Callers that hold p re-check a positive
-    verdict with polynomial_after or verify_shift_identity.
+    So a is known from the degrees before the plane is sought:
+    _krylov_factor tests it at one entry of L^2 u before forming L^2 u, and
+    returns a plane only with this a.  No polynomial is formed.  Callers
+    that hold p re-check a positive verdict with polynomial_after or
+    verify_shift_identity.
     """
     _check_parity(parity)
     _check_pair(g, v, w)
@@ -346,10 +359,7 @@ def siv_oracle(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
         return SivVerdict(NONE)
     if len(m) == 2:
         return SivVerdict(TYPE1, lam=-m[0])
-    s = g.degree(v) + g.degree(w) + 1
-    if m[1] == -s:
-        return SivVerdict(TYPE2, s=s, p=m[0])
-    return SivVerdict(NONE)
+    return SivVerdict(TYPE2, s=-m[1], p=m[0])
 
 
 def _rechecked_verdicts(

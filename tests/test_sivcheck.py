@@ -127,6 +127,32 @@ class TestClassify:
                         assert classify(switch_at(g, s), v, w, adjusted).params == base
 
 
+# On P2 plus an isolated vertex (n = 3): each refused input with the exact
+# message every public decider gives.  The parity is checked first, then
+# v != w, then v and w in range, v first, then adjacency.
+REFUSALS = [
+    ((1, 1, EVEN), "v and w must be distinct"),
+    ((1, 2, EVEN), "vertices 1 and 2 are adjacent"),
+    ((2, 1, EVEN), "vertices 2 and 1 are adjacent"),
+    ((0, 3, EVEN), "vertex 0 out of range 1..3"),
+    ((3, 0, EVEN), "vertex 0 out of range 1..3"),
+    ((4, 3, EVEN), "vertex 4 out of range 1..3"),
+    ((3, 4, EVEN), "vertex 4 out of range 1..3"),
+    ((0, 4, EVEN), "vertex 0 out of range 1..3"),
+    ((1, 3, "flip"), "parity must be 'even' or 'odd', got 'flip'"),
+    ((1, 1, "flip"), "parity must be 'even' or 'odd', got 'flip'"),
+]
+
+
+@pytest.mark.parametrize("decide", [classify, check_type1, check_type2, siv_oracle], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("args, message", REFUSALS, ids=[repr(args) for args, _ in REFUSALS])
+def test_every_decider_keeps_every_refusal(decide, args, message):
+    g, _, _ = p2_plus_isolated()
+    with pytest.raises(ValueError) as refused:
+        decide(g, *args)
+    assert str(refused.value) == message
+
+
 class TestType2Eigenvectors:
     def test_isolated_vertex_instance(self):
         g, v, w = p2_plus_isolated()

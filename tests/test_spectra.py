@@ -34,6 +34,7 @@ from sivkit.spectra import (
     polynomial_after,
 )
 from sivkit.fileio import MAX_VERTICES
+from sivkit.graphs import _laplacian_times
 
 from conftest import (
     all_switch_sets,
@@ -366,6 +367,33 @@ class TestSivOracle:
         g = SignedGraph.all_even(4, [(1, 2), (2, 3), (3, 4)])
         assert siv_oracle(g, 1, 4, EVEN).kind == "none"
 
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_plane_with_another_a_is_none_from_one_product(self, monkeypatch, parity):
+        # 2K2 with the even edges 14 and 23, adding 12: u spans the plane
+        # L^2 u = 2 L u, but a type-2 plane needs a = d_1 + d_2 + 1 = 3, so
+        # the verdict is none, and entry 3 ((L^2 u)_3 = 2 y1_3, not 3 y1_3)
+        # refuses it before L^2 u is formed.
+        g = SignedGraph.all_even(4, [(1, 4), (2, 3)])
+        sign = 1 if parity == ODD else -1
+        y1 = _laplacian_times(g, {1: 1, 2: sign})
+        assert _laplacian_times(g, y1) == {x: 2 * c for x, c in y1.items()}
+        p = faddeev_leverrier(signed_laplacian(g))
+        after = faddeev_leverrier(signed_laplacian(g.add_edge(1, 2, parity)))
+        assert polynomial_verdict(p, after) == (NONE, None, None, None)
+        products = []
+
+        def counted(g, y):
+            products.append(y)
+            return _laplacian_times(g, y)
+
+        monkeypatch.setattr(spectra, "_laplacian_times", counted)
+        assert siv_oracle(g, 1, 2, parity).params == (NONE, None, None, None)
+        assert len(products) == 1
+        # a type-2 plane passes entry i and forms L^2 u as well
+        products.clear()
+        assert siv_oracle(SignedGraph.of(3, [(1, 2, EVEN)]), 1, 3, EVEN).kind == TYPE2
+        assert len(products) == 2
+
     def test_adjacent_pair_rejected(self):
         with pytest.raises(ValueError):
             siv_oracle(SignedGraph.of(2, [(1, 2, EVEN)]), 1, 2, EVEN)
@@ -448,12 +476,12 @@ class TestDerivedAdditionPolynomials:
                 assert siv_oracle(g, v, w, parity).params == polynomial_verdict(p, after), (g, v, w, parity)
 
     def test_krylov_route_matches_the_pass(self):
-        # The verdict follows _krylov_factor: a line is type 1, a plane is
-        # type 2 or none, and anything else is none.  Against the verdict
-        # read off the polynomials of a Faddeev-LeVerrier pass on g and on
-        # g + vw, for every addition of the seeded graphs, plus dense graphs
-        # at the vertex cap, where the pass is checked on the first addition
-        # only.
+        # The verdict follows _krylov_factor: a line is type 1, a plane
+        # (returned only with a = d_v + d_w + 1) is type 2, and anything
+        # else is none.  Against the verdict read off the polynomials of a
+        # Faddeev-LeVerrier pass on g and on g + vw, for every addition of
+        # the seeded graphs, plus dense graphs at the vertex cap, where the
+        # pass is checked on the first addition only.
         graphs = [g for n in range(2, 13) for g in random_graphs(seed=100 + n, count=3, n=n, edge_prob=0.4)]
         graphs += list(random_graphs(seed=31, count=2, n=MAX_VERTICES, edge_prob=0.95))
         routes = {"type1": 0, "type2": 0, "none": 0}
@@ -465,8 +493,7 @@ class TestDerivedAdditionPolynomials:
                 route = "none" if m is None else f"type{len(m) - 1}"
                 routes[route] += 1
                 assert (route == "type1") == (params[0] == TYPE1), (g, v, w, parity)
-                if params[0] == TYPE2:
-                    assert route == "type2", (g, v, w, parity)
+                assert (route == "type2") == (params[0] == TYPE2), (g, v, w, parity)
                 if g.n < MAX_VERTICES or i == 0:
                     after = faddeev_leverrier(signed_laplacian(g.add_edge(v, w, parity)))
                     assert params == polynomial_verdict(p, after), (g, v, w, parity)
