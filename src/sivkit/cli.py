@@ -34,7 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
-# 3^C(n,2) labelled graphs: n = 5 is 59,049 and takes 9.4-10.6 s (three
+# 3^C(n,2) labelled graphs: n = 5 is 59,049 and takes 6.7-7.5 s (three
 # in-process calls of main(["enumerate", "--n-limit", "5", "--json"]), one
 # worker, 2-vCPU Xeon, Python 3.11); n = 6 is 14,348,907, too many to hold
 # in memory

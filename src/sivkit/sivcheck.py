@@ -41,6 +41,20 @@ def check_type1(g: SignedGraph, v: int, w: int, parity: str) -> bool:
     return _same_signed_neighbors(g.adjacency(v), g.adjacency(w), parity != EVEN)
 
 
+_CONDITION_NAMES = ("A", "B", "C", "D", "E", "positivity")
+
+
+def _conditions(failed: int) -> tuple[tuple[str, bool], ...]:
+    """The reported (name, holds) pairs for a mask of failed conditions."""
+    return tuple((name, not failed >> k & 1) for k, name in enumerate(_CONDITION_NAMES))
+
+
+# SivVerdict is frozen and its conditions a tuple, so verdicts can be shared;
+# entry m of the table fails the conditions in mask m (entry 0 is never used)
+_ALL_HOLD = _conditions(0)
+_NONE_BY_FAILED = tuple(SivVerdict(NONE, conditions=_conditions(m)) for m in range(64))
+
+
 def check_type2(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     """Two-eigenvalue shift test on the centered form.
 
@@ -62,7 +76,13 @@ def check_type2(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
 
 
 def _type2(g: SignedGraph, v: int, w: int, pi: bool) -> SivVerdict:
-    """check_type2 on a checked pair, pi true for an odd addition."""
+    """check_type2 on a checked pair, pi true for an odd addition.
+
+    The six conditions go into a mask of the failed ones, bit k for the k-th
+    of _CONDITION_NAMES, and a failing mask returns its prebuilt none verdict
+    from _NONE_BY_FAILED: every condition is still evaluated and reported,
+    and no none verdict or conditions tuple is built per call.
+    """
     adj = g._adj
     av, aw = adj[v], adj[w]
     side = [False] * (g.n + 1)
@@ -100,18 +120,18 @@ def _type2(g: SignedGraph, v: int, w: int, pi: bool) -> SivVerdict:
                 return False
         return True
 
-    diag = (
-        ("A", rows_equal(a_block, d2 + 1)),
-        ("B", rows_equal(b_block, -(d1 + 1))),
-        ("C", rows_equal(c_block, d2 - d1)),
-        ("D", rows_equal(d_block, d1 + d2 + 2)),
-        ("E", rows_equal(e_block, 0)),
-        ("positivity", len(a_block) + len(b_block) + 4 * len(d_block) > 0),
+    failed = (
+        (not rows_equal(a_block, d2 + 1))
+        | (not rows_equal(b_block, -(d1 + 1))) << 1
+        | (not rows_equal(c_block, d2 - d1)) << 2
+        | (not rows_equal(d_block, d1 + d2 + 2)) << 3
+        | (not rows_equal(e_block, 0)) << 4
+        | (len(a_block) + len(b_block) + 4 * len(d_block) <= 0) << 5
     )
-    if all(ok for _, ok in diag):
-        p = d1 * d2 + len(c_block) - len(d_block)
-        return SivVerdict(TYPE2, s=d1 + d2 + 1, p=p, conditions=diag)
-    return SivVerdict(NONE, conditions=diag)
+    if failed:
+        return _NONE_BY_FAILED[failed]
+    p = d1 * d2 + len(c_block) - len(d_block)
+    return SivVerdict(TYPE2, s=d1 + d2 + 1, p=p, conditions=_ALL_HOLD)
 
 
 def classify(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:

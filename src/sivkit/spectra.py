@@ -236,6 +236,10 @@ class SivVerdict:
         return out
 
 
+# siv_oracle's one none verdict: SivVerdict is frozen, so every none shares it
+_NO_SHIFT = SivVerdict(NONE)
+
+
 def laplacian_char_poly(g: SignedGraph) -> IntPoly:
     """det(xI - L) for g's signed Laplacian L."""
     return char_poly(signed_laplacian(g))
@@ -268,18 +272,25 @@ def verify_shift_identity(p: IntPoly, p_after: IntPoly, verdict: SivVerdict) -> 
     return _mul_coeffs(p_after.coeffs, f) == _mul_coeffs(p.coeffs, h)
 
 
+def _divided(p: IntPoly, verdict: SivVerdict) -> tuple[list[int], tuple[int, ...]]:
+    """(p / f, h), ascending, for the verdict's factors f and h.  A factor
+    that does not divide p names eigenvalues p does not have, so the verdict
+    is false for this p: that is an internal invariant failure and raises
+    ArithmeticError (exit 2), where a verdict with no shift is refused with
+    ValueError."""
+    f, h = _shift_factors(verdict)
+    try:
+        return _div_coeffs(p.coeffs, f), h
+    except ValueError as exc:
+        raise ArithmeticError(f"the {verdict.kind} verdict's factor does not divide the polynomial") from exc
+
+
 def polynomial_after(p: IntPoly, verdict: SivVerdict) -> IntPoly:
     """The polynomial after an addition, from p before it and the verdict's
     own identity: (p / (x - lam)) (x - lam - 2) for type 1 and
-    (p / q(x)) q(x - 1) for type 2, dividing first.  A factor that does not
-    divide p names eigenvalues p does not have, so the verdict is false for
-    this p: that is an internal invariant failure and raises ArithmeticError
-    (exit 2), where a verdict with no shift is refused with ValueError."""
-    f, h = _shift_factors(verdict)
-    try:
-        quotient = _div_coeffs(p.coeffs, f)
-    except ValueError as exc:
-        raise ArithmeticError(f"the {verdict.kind} verdict's factor does not divide the polynomial") from exc
+    (p / q(x)) q(x - 1) for type 2, dividing first by _divided, which
+    raises ArithmeticError for a factor that does not divide p."""
+    quotient, h = _divided(p, verdict)
     return IntPoly(_mul_coeffs(quotient, h))
 
 
@@ -289,21 +300,24 @@ def _krylov_factor(g: SignedGraph, v: int, w: int, parity: str) -> tuple[int, ..
     L^2 u = a L u + b u has a = d_v + d_w + 1; None for any other u.  m is
     x - lam on a line and x^2 - a x - b on a plane.
 
-    With y1 = L u, a is known before L y1 is formed.  At an entry i of y1
-    outside v and w, where u is 0, the plane needs (L y1)_i = a y1_i, which
-    row i of L gives in deg(i) steps; only when it holds is y2 = L y1
-    formed, b read at v, and the plane checked entry by entry.  Entry i
-    fixes the a of any plane through u, so a plane with another a fails
-    there.  It costs one sparse product L y, or two when entry i passes.
+    One pass over the keys of y1 = L u finds the first entry i outside v
+    and w, where u is 0.  With no such entry y1 lies on v and w, and u
+    spans a line when y1_w = sign * y1_v (u is none otherwise).  With one,
+    a is known before L y1 is formed: the plane needs (L y1)_i = a y1_i,
+    which row i of L gives in deg(i) steps; only when it holds is
+    y2 = L y1 formed, b read at v, and the plane checked entry by entry.
+    Entry i fixes the a of any plane through u, so a plane with another a
+    fails there.  It costs one sparse product L y, or two when entry i
+    passes.
     """
     sign = 1 if parity == ODD else -1
     y1 = _laplacian_times(g, {v: 1, w: sign})
-    lam = y1.get(v, 0)
-    if y1 == ({v: lam, w: sign * lam} if lam else {}):
-        return (-lam, 1)
-    i = next((x for x in y1 if x != v and x != w), None)
-    if i is None:
-        return None
+    for i in y1:
+        if i != v and i != w:
+            break
+    else:
+        lam = y1.get(v, 0)
+        return (-lam, 1) if y1.get(w, 0) == sign * lam else None
     adj = g._adj
     a = len(adj[v]) + len(adj[w]) + 1
     row = adj[i]
@@ -349,14 +363,15 @@ def siv_oracle(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     So a is known from the degrees before the plane is sought:
     _krylov_factor tests it at one entry of L^2 u before forming L^2 u, and
     returns a plane only with this a.  No polynomial is formed.  Callers
-    that hold p re-check a positive verdict with polynomial_after or
-    verify_shift_identity.
+    that hold p re-check a positive verdict with polynomial_after (or its
+    division alone, _divided) or verify_shift_identity.  Every none is the
+    one shared _NO_SHIFT.
     """
     _check_parity(parity)
     _check_pair(g, v, w)
     m = _krylov_factor(g, v, w, parity)
     if m is None:
-        return SivVerdict(NONE)
+        return _NO_SHIFT
     if len(m) == 2:
         return SivVerdict(TYPE1, lam=-m[0])
     return SivVerdict(TYPE2, s=-m[1], p=m[0])
@@ -366,14 +381,16 @@ def _rechecked_verdicts(
     g: SignedGraph, additions: Iterable[tuple[int, int, str]]
 ) -> Iterator[SivVerdict]:
     """siv_oracle's verdict on each addition (v, w, parity) to g, in order.
-    Each positive verdict is re-checked by polynomial_after against g's
-    polynomial, formed once at the first positive verdict; a graph with no
-    positive verdict forms none."""
+    Each positive verdict is re-checked against g's polynomial, formed once
+    at the first positive verdict (a graph with no positive verdict forms
+    none), by _divided alone: a factor that does not divide it raises
+    ArithmeticError, and the polynomial after the addition, which nothing
+    here reads, is never formed."""
     p = None
     for v, w, parity in additions:
         verdict = siv_oracle(g, v, w, parity)
         if verdict.kind != NONE:
             if p is None:
                 p = laplacian_char_poly(g)
-            polynomial_after(p, verdict)
+            _divided(p, verdict)
         yield verdict

@@ -471,23 +471,50 @@ class TestEnumerate:
 
     def test_one_polynomial_per_graph_with_a_positive_verdict(self, capsys, monkeypatch):
         # the sweep forms g's polynomial to re-check g's positive verdicts,
-        # once, and a graph with none forms no polynomial
+        # once, and a graph with none forms no polynomial; the re-check only
+        # divides, so no polynomial after an addition is multiplied out
         positive = {
             g for g in iter_signed_graphs(4) if any(o.kind != "none" for *_, o in cross_check(g))
         }
         polys = []
+        products = []
         laplacian_char_poly = spectra.laplacian_char_poly
+        mul_coeffs = spectra._mul_coeffs
 
         def counting(g):
             polys.append(g)
             return laplacian_char_poly(g)
 
+        def counting_products(*args):
+            products.append(args)
+            return mul_coeffs(*args)
+
         monkeypatch.setattr(spectra, "laplacian_char_poly", counting)
+        monkeypatch.setattr(spectra, "_mul_coeffs", counting_products)
         assert main(["enumerate", "--n-limit", "4", "--json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["mismatches"] == 0
         assert len(polys) == len(set(polys))
         assert set(polys) == positive
         assert 0 < len(positive) < 3**6 - 2**6  # less the complete graphs
+        assert products == []
+
+    def test_sweep_refutes_a_verdict_the_polynomial_does_not_have(self, capsys, monkeypatch):
+        # one positive oracle verdict whose lam is no eigenvalue of its
+        # graph: x - lam does not divide g's polynomial, an internal
+        # invariant failure (exit 2)
+        oracle = spectra.siv_oracle
+        calls = []
+
+        def one_false_verdict(*args):
+            calls.append(args)
+            return SivVerdict("type1", lam=100) if len(calls) == 5 else oracle(*args)
+
+        monkeypatch.setattr(spectra, "siv_oracle", one_false_verdict)
+        assert main(["enumerate", "--n-limit", "3"]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert len(calls) == 5
+        assert captured.out == ""
+        assert captured.err == "error: the type1 verdict's factor does not divide the polynomial\n"
 
     def test_canonical_reduces_graph_count(self, capsys):
         main(["enumerate", "--n-limit", "3", "--json"])

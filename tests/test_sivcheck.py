@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given
@@ -107,6 +107,38 @@ class TestClassify:
                 for parity in (EVEN, ODD):
                     if check_type1(g, v, w, parity):
                         assert check_type2(g, v, w, parity).kind == "none"
+
+    def test_shared_verdicts_are_frozen_and_exact(self):
+        # none verdicts are prebuilt and handed to every caller, so a caller
+        # must not be able to change one, and each must read as a fresh one
+        p4 = SignedGraph.all_even(4, [(1, 2), (2, 3), (3, 4)])
+        for verdict in (classify(p4, 1, 4, EVEN), siv_oracle(p4, 1, 4, EVEN)):
+            assert verdict.kind == "none"
+            with pytest.raises(FrozenInstanceError):
+                verdict.kind = "type1"
+        shared = classify(p4, 1, 4, EVEN)
+        out = shared.to_json_dict()
+        out["conditions"]["A"] = not out["conditions"]["A"]
+        assert shared.to_json_dict() != out
+        patterns = set()
+        for n in range(2, 5):
+            for g in iter_signed_graphs(n):
+                for v, w in g.non_adjacent_pairs():
+                    for parity in (EVEN, ODD):
+                        verdict = classify(g, v, w, parity)
+                        if verdict.kind == "type1":
+                            assert verdict.conditions is None
+                            continue
+                        assert isinstance(verdict.conditions, tuple)
+                        assert all(isinstance(pair, tuple) for pair in verdict.conditions)
+                        patterns.add(verdict.conditions)
+                        if verdict.kind == "type2":
+                            assert all(ok for _, ok in verdict.conditions)
+                        else:
+                            fresh = SivVerdict("none", conditions=centered_form_type2(g, v, w, parity).conditions)
+                            assert verdict.to_json_dict() == fresh.to_json_dict()
+        # type 1 reports no conditions; the other verdicts show 13 patterns
+        assert len(patterns) == 13
 
     @given(graphs_with_nonadjacent_pair(min_n=5, max_n=5))
     def test_exclusivity_sampled(self, instance):
