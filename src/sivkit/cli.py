@@ -34,10 +34,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
-# 3^C(n,2) labelled graphs: n = 5 is 59,049 and takes 6.7-7.5 s (three
+# 3^C(n,2) labelled graphs: n = 5 is 59,049 and takes 6.1-6.2 s (three
 # in-process calls of main(["enumerate", "--n-limit", "5", "--json"]), one
-# worker, 2-vCPU Xeon, Python 3.11); n = 6 is 14,348,907, too many to hold
-# in memory
+# worker, 2-vCPU Xeon, Python 3.11); n = 6 is bounded by time, not memory:
+# 143.5M instances, about 40 minutes at the n = 5 rate
 EXHAUSTIVE_N_LIMIT = 5
 
 
@@ -130,9 +130,10 @@ def run_plan(args: argparse.Namespace) -> int:
 
 
 def _tally_graphs(graphs) -> Counter:
-    """Verdict kinds, instances and mismatches of cross_check over graphs."""
+    """Graphs, verdict kinds, instances and mismatches of cross_check, one graph at a time."""
     tally: Counter = Counter()
     for g in graphs:
+        tally["graphs"] += 1
         for *_, verdict, oracle in cross_check(g):
             tally["instances"] += 1
             tally[verdict.kind] += 1
@@ -174,21 +175,22 @@ def run_enumerate(args: argparse.Namespace) -> int:
                 seen.add(canon)
                 deduped.append(g)
         graphs = deduped
-    else:
-        graphs = list(graphs)
-    graph_count = len(graphs)
     # more processes than batches or cores would only idle; the tally does not
-    # depend on how the graphs are batched
-    workers = min(args.workers, graph_count, os.cpu_count() or 1)
+    # depend on how the graphs are batched.  Only a pool lists the graphs
+    workers = min(args.workers, os.cpu_count() or 1)
+    if workers > 1:
+        graphs = list(graphs)
+        workers = min(workers, len(graphs))
     if workers > 1:
         import multiprocessing  # on demand: about 1 MB that runs without a pool never use
 
-        chunk = -(-graph_count // workers)
-        batches = [graphs[i : i + chunk] for i in range(0, graph_count, chunk)]
+        chunk = -(-len(graphs) // workers)
+        batches = [graphs[i : i + chunk] for i in range(0, len(graphs), chunk)]
         with multiprocessing.Pool(len(batches)) as pool:
             tally = sum(pool.map(_tally_graphs, batches), Counter())
     else:
         tally = _tally_graphs(graphs)
+    graph_count = tally["graphs"]
     counts = {k: tally[k] for k in ("type1", "type2", "none")}
     instance_count = tally["instances"]
     mismatches = tally["mismatches"]

@@ -16,13 +16,14 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import EVEN, ODD, Edge, SignedGraph, _check_pairs, edge
-from .polynomials import IntPoly, _mul_coeffs
+from .polynomials import IntPoly, _div_coeffs, _mul_coeffs
 from .spectra import (
     NONE,
     SivVerdict,
     char_poly,
     laplacian_char_poly,
     polynomial_after,
+    signed_laplacian,
     siv_oracle,
 )
 
@@ -199,7 +200,7 @@ class SubstitutionSpectrum:
 
     @property
     def total_poly(self) -> IntPoly:
-        return self.m_poly * self.shifted_poly
+        return IntPoly(_mul_coeffs(self.m_poly.coeffs, self.shifted_poly.coeffs))
 
 
 def substitution_spectrum(
@@ -227,14 +228,17 @@ def substitution_spectrum(
     masses = [sum(sizes[x - 1] for x in quotient.neighbors(q)) for q in order]
     diagonal = [lam + mass for lam, mass in zip(lams, masses)]
     m_matrix = _coupling_matrix(quotient, sizes, diagonal)
-    shifted = IntPoly.one()
+    shifted = [1]
     for q, mass, d in zip(order, masses, diagonal):
-        poly = laplacian_char_poly(parts[q])
-        shifted = shifted * poly.shifted(-mass).div_exact(IntPoly((-d, 1)))
+        # det(xI - L - mass I) is the part's polynomial p(x - mass)
+        rows = [list(row) for row in signed_laplacian(parts[q])]
+        for i, row in enumerate(rows):
+            row[i] += mass
+        shifted = _mul_coeffs(shifted, _div_coeffs(char_poly(rows).coeffs, (-d, 1)))
     return SubstitutionSpectrum(
         m_matrix=m_matrix,
         m_poly=char_poly(m_matrix),
-        shifted_poly=shifted,
+        shifted_poly=IntPoly(tuple(shifted)),
         part_eigenvalues=tuple(lams),
     )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, index, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -51,12 +51,10 @@ def _div_coeffs(num: Sequence[int], den: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class IntPoly:
-    """Arbitrary-precision integer polynomial; coeffs[k] multiplies x**k.
-
-    Coefficients are read through operator.index, so a float is refused.
-    The zero polynomial is the empty tuple and has degree -1.  Instances are
-    immutable and hashable, so they can be cached and used as certificate
-    payloads.
+    """Arbitrary-precision integer polynomial, a value: coeffs[k] multiplies
+    x**k.  Coefficients are read through operator.index, so a float is
+    refused, and trailing zeros are stripped: the zero polynomial is () with
+    degree -1.  Arithmetic runs on coefficient lists (_mul_coeffs, _div_coeffs).
     """
 
     coeffs: tuple[int, ...] = ()
@@ -68,95 +66,19 @@ class IntPoly:
             k -= 1
         object.__setattr__(self, "coeffs", cs[:k])
 
-    @classmethod
-    def of(cls, *coeffs: int) -> IntPoly:
-        return cls(coeffs)
-
-    @classmethod
-    def zero(cls) -> IntPoly:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> IntPoly:
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> IntPoly:
-        return cls((0, 1))
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[int]) -> IntPoly:
-        """Monic polynomial with the given integer root multiset."""
-        out = cls.one()
-        for r in roots:
-            out = out * cls((-r, 1))
-        return out
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __add__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> IntPoly:
-        return IntPoly((other,)) - self
-
-    def __mul__(self, other: IntPoly | int) -> IntPoly:
-        factor = (other,) if isinstance(other, int) else other.coeffs
-        return IntPoly(_mul_coeffs(self.coeffs, factor))
-
-    def __rmul__(self, other: int) -> IntPoly:
-        return self * other
-
-    def __call__(self, value: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def shifted(self, c: int) -> IntPoly:
-        """Return p(x + c)."""
-        acc = IntPoly.zero()
-        lin = IntPoly((c, 1))
-        for coeff in reversed(self.coeffs):
-            acc = acc * lin + coeff
-        return acc
-
-    def div_exact(self, divisor: IntPoly) -> IntPoly:
-        """Quotient self / divisor over the integers; raises if not exact."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        return IntPoly(_div_coeffs(self.coeffs, divisor.coeffs))
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.coeffs:
             return "0"
         parts: list[str] = []
         for k in range(self.degree, -1, -1):

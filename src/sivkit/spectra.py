@@ -189,19 +189,26 @@ def integer_spectrum(p: IntPoly) -> IntegerSpectrum:
     # p is monic, so some coefficient is nonzero; x^zeros divides p exactly
     zeros = next(k for k, c in enumerate(p.coeffs) if c)
     roots = [0] * zeros
-    q = IntPoly(p.coeffs[zeros:])
-    if q.degree > 0:
-        # every integer root divides q(0) and lies within the root bound
-        for d in _divisors(q.coeffs[0], _root_bound(q.coeffs)):
-            for r in (d, -d):
-                while q.degree > 0 and q(r) == 0:
-                    q = q.div_exact(IntPoly((-r, 1)))
-                    roots.append(r)
-            if q.degree == 0:
-                break
-    if q.degree <= 0:
-        return IntegerSpectrum(tuple(sorted(roots)))
-    return IntegerSpectrum(tuple(sorted(roots)), q)
+    q = p.coeffs[zeros:]
+    # every integer root divides q(0) and lies within the root bound
+    candidates = _divisors(q[0], _root_bound(q)) if len(q) > 1 else []
+    q = q[::-1]  # descending, the order synthetic division reads
+    for d in candidates:
+        for r in (d, -d):
+            while len(q) > 1:
+                # synthetic division by x - r: the last value is q(r), the rest the quotient
+                acc, values = 0, []
+                for c in q:
+                    acc = acc * r + c
+                    values.append(acc)
+                if acc:
+                    break
+                q = values[:-1]
+                roots.append(r)
+        if len(q) == 1:
+            break
+    residual = IntPoly(tuple(reversed(q))) if len(q) > 1 else None
+    return IntegerSpectrum(tuple(sorted(roots)), residual)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The helpers here are deliberately independent of the library's algorithms:
 determinants come from fraction-free elimination, characteristic polynomials
-from the permanent-style permutation expansion and the Faddeev-LeVerrier
+from the permanent-style permutation expansion (its products by the
+double loop, the tests' own polynomial arithmetic) and the Faddeev-LeVerrier
 recurrence, integral-variation verdicts from the two characteristic
 polynomials alone, by a rational gcd, integer roots from synthetic
 division at every integer of a given range, switching equivalence from
@@ -60,19 +61,43 @@ def _permutation_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def double_loop_product(a, b) -> list[int]:
+    """The product of two ascending coefficient sequences, term by term."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def linear_product(roots, tail=(1,)) -> IntPoly:
+    """tail times the product of x - r over the roots, by double_loop_product."""
+    coeffs = list(tail)
+    for r in roots:
+        coeffs = double_loop_product(coeffs, (-r, 1))
+    return IntPoly(tuple(coeffs))
+
+
+def evaluate(p: IntPoly, value: int) -> int:
+    """p(value) by Horner's rule."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * value + c
+    return acc
+
+
 def leibniz_char_poly(m: tuple[tuple[int, ...], ...]) -> IntPoly:
     """det(xI - m) by the full permutation expansion; usable up to n = 6."""
     n = len(m)
-    total = IntPoly.zero()
+    total = [0] * (n + 1)
     for perm in permutations(range(n)):
-        prod = IntPoly.one() * _permutation_sign(perm)
+        prod = [_permutation_sign(perm)]
         for i in range(n):
-            if perm[i] == i:
-                prod = prod * IntPoly((-m[i][i], 1))
-            else:
-                prod = prod * (-m[i][perm[i]])
-        total = total + prod
-    return total
+            factor = (-m[i][i], 1) if perm[i] == i else (-m[i][perm[i]],)
+            prod = double_loop_product(prod, factor)
+        for k, c in enumerate(prod):
+            total[k] += c
+    return IntPoly(tuple(total))
 
 
 def faddeev_leverrier(m) -> IntPoly:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -537,6 +538,24 @@ class TestEnumerate:
         assert main(["enumerate", "--n-limit", "3", "--workers", "2", "--json"]) == EXIT_OK
         assert capsys.readouterr().out == sequential
 
+    def test_one_worker_holds_one_graph_at_a_time(self, capsys, monkeypatch):
+        # the sweep reads the graphs as they are made, so the first graph,
+        # and the adjacency cross_check cached on it, is freed long before
+        # the last is tallied
+        first, alive = [], []
+
+        def watched(g):
+            if first:
+                alive.append(first[0]() is not None)
+            else:
+                first.append(weakref.ref(g))
+            return cross_check(g)
+
+        monkeypatch.setattr(cli, "cross_check", watched)
+        assert main(["enumerate", "--n-limit", "3", "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["graphs"] == 27
+        assert len(alive) == 26 and not alive[-1]
+
     def test_negative_samples_refused(self, capsys):
         assert main(["enumerate", "--n-limit", "4", "--samples", "-3", "--json"]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -580,7 +599,7 @@ class TestEnumerate:
         assert capsys.readouterr().out == sequential
 
     def test_exhaustive_limit_guard(self, capsys):
-        # n = 6 alone is 3^15 graphs, too many to hold in memory
+        # n = 6 alone is 3^15 graphs and 143.5M instances, too many to sweep
         for n_limit in ("6", "7", "8", "9"):
             assert main(["enumerate", "--n-limit", n_limit]) == EXIT_USAGE
             captured = capsys.readouterr()

@@ -37,6 +37,7 @@ from conftest import (
     final_graph,
     four_subset_scan_completable,
     iter_signed_completes,
+    linear_product,
     odd_triangle_scan_counts,
     random_signed_complete,
     remove_edges,
@@ -270,8 +271,8 @@ class TestSubstitutionSpectrum:
         parts = {i: SignedGraph(1, frozenset(), frozenset()) for i in (1, 2)}
         spectrum = substitution_spectrum(q, parts)
         assert spectrum.m_matrix == ((1, -1), (-1, 1))
-        assert spectrum.m_poly == IntPoly.from_roots([0, 2])
-        assert spectrum.shifted_poly == IntPoly.one()
+        assert spectrum.m_poly == linear_product([0, 2])
+        assert spectrum.shifted_poly == IntPoly((1,))
         assert spectrum.total_poly == laplacian_char_poly(substitute(q, parts))
 
     def test_k4_from_two_even_k2_parts(self):
@@ -279,8 +280,8 @@ class TestSubstitutionSpectrum:
         parts = {1: SignedGraph.complete(2), 2: SignedGraph.complete(2)}
         spectrum = substitution_spectrum(q, parts)
         assert spectrum.m_matrix == ((2, -2), (-2, 2))
-        assert spectrum.m_poly == IntPoly.from_roots([0, 4])
-        assert spectrum.shifted_poly == IntPoly.from_roots([4, 4])
+        assert spectrum.m_poly == linear_product([0, 4])
+        assert spectrum.shifted_poly == linear_product([4, 4])
         assert spectrum.total_poly == laplacian_char_poly(SignedGraph.complete(4))
 
     def test_odd_quotient_edge(self):

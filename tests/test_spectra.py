@@ -39,9 +39,11 @@ from sivkit.graphs import _laplacian_times
 from conftest import (
     all_switch_sets,
     bareiss_determinant,
+    evaluate,
     faddeev_leverrier,
     graphs_with_nonadjacent_pair,
     leibniz_char_poly,
+    linear_product,
     polynomial_verdict,
     random_graphs,
     signed_graphs,
@@ -75,7 +77,7 @@ def _slot_bound_cases():
     sum; the c below at n = 1..6 need one to four 64-bit words per entry."""
     cases = [
         pytest.param([[c if i == j else 0 for j in range(n)] for i in range(n)],
-                     IntPoly.from_roots([c] * n), id=f"{c}*I{n}")
+                     linear_product([c] * n), id=f"{c}*I{n}")
         for c in (2**63 - 1, -(2**63 - 1), 2**63, -(2**63), 2**64 + 1, -(2**64 + 1))
         for n in range(1, 7)
     ]
@@ -85,23 +87,23 @@ def _slot_bound_cases():
     cases.append(pytest.param(m, leibniz_char_poly(m), id="nonsymmetric-1e30"))
     diagonal = [2**63 - 1, -(2**63 - 1)] * 2
     cases.append(pytest.param(np.diag(np.array(diagonal, dtype=np.int64)),
-                              IntPoly.from_roots(diagonal), id="int64-diagonal"))
+                              linear_product(diagonal), id="int64-diagonal"))
     return cases
 
 
 class TestCharPoly:
     def test_one_by_one_zero(self):
-        assert char_poly(((0,),)) == IntPoly.x()
+        assert char_poly(((0,),)) == IntPoly((0, 1))
 
     def test_k3_laplacian(self):
         L = signed_laplacian(SignedGraph.complete(3))
         expected = leibniz_char_poly(L)
-        assert expected == IntPoly.of(0, 9, -6, 1)  # x^3 - 6x^2 + 9x
+        assert expected == IntPoly((0, 9, -6, 1))  # x^3 - 6x^2 + 9x
         assert char_poly(L) == expected
 
     def test_k2_odd_laplacian(self):
         L = signed_laplacian(SignedGraph.of(2, [(1, 2, ODD)]))
-        assert char_poly(L) == IntPoly.of(0, -2, 1)
+        assert char_poly(L) == IntPoly((0, -2, 1))
         assert char_poly(L) == leibniz_char_poly(L)
 
     def test_against_permutation_expansion(self):
@@ -111,7 +113,7 @@ class TestCharPoly:
 
     def test_nonsymmetric_matrix(self):
         m = ((1, 2), (0, 3))
-        assert char_poly(m) == IntPoly.of(3, -4, 1)  # (x-1)(x-3)
+        assert char_poly(m) == IntPoly((3, -4, 1))  # (x-1)(x-3)
         assert char_poly(m) == leibniz_char_poly(m)
 
     @pytest.mark.parametrize("m", [(), ((1, 2),), ((1, 2), (3,))])
@@ -137,7 +139,7 @@ class TestCharPoly:
         m = np.diag(np.array([10**7] * 3, dtype=np.int64))
         p = char_poly(m)
         assert p.coeffs[0] == -(10**21)  # beyond int64
-        assert p == IntPoly.from_roots([10**7] * 3)
+        assert p == linear_product([10**7] * 3)
         assert all(type(c) is int for c in p.coeffs)
 
     @pytest.mark.parametrize("m, expected", _slot_bound_cases())
@@ -154,7 +156,7 @@ class TestCharPoly:
         for g in graphs:
             L = signed_laplacian(g)
             p = char_poly(L)
-            assert p(0) == (-1) ** g.n * bareiss_determinant(L)
+            assert p.coeffs[0] == (-1) ** g.n * bareiss_determinant(L)
 
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                     min_size=3, max_size=3))
@@ -192,13 +194,13 @@ class TestCharPoly:
         # every power sum tr(m^k) is 0
         n = 9
         m = [[(i + 2 * j) * (-1) ** j if j > i else 0 for j in range(n)] for i in range(n)]
-        assert char_poly(m) == IntPoly.from_roots([0] * n)
+        assert char_poly(m) == linear_product([0] * n)
 
     @pytest.mark.parametrize("m, expected", [
-        (((5,),), IntPoly.of(-5, 1)),
-        (((-3,),), IntPoly.of(3, 1)),
-        (((1, 2), (3, 4)), IntPoly.of(-2, -5, 1)),
-        (((2, -1), (-1, 2)), IntPoly.of(3, -4, 1)),  # (x-1)(x-3)
+        (((5,),), IntPoly((-5, 1))),
+        (((-3,),), IntPoly((3, 1))),
+        (((1, 2), (3, 4)), IntPoly((-2, -5, 1))),
+        (((2, -1), (-1, 2)), IntPoly((3, -4, 1))),  # (x-1)(x-3)
     ])
     def test_one_and_two_rows_form_no_product(self, m, expected):
         assert char_poly(m) == expected
@@ -216,46 +218,65 @@ class TestCharPoly:
         g = switch_at(SignedGraph.complete(n), range(1, n, 3))
         L = signed_laplacian(g)
         p = char_poly(L)
-        assert p == IntPoly.from_roots([0] + [n] * (n - 1))
+        assert p == linear_product([0] + [n] * (n - 1))
         assert p == faddeev_leverrier(L)
 
 
 class TestIntegerSpectrum:
     def test_k3_polynomial(self):
-        spectrum = integer_spectrum(IntPoly.of(0, 9, -6, 1))
+        spectrum = integer_spectrum(IntPoly((0, 9, -6, 1)))
         assert spectrum.is_integral and spectrum.roots == (0, 3, 3)
 
     def test_irrational(self):
-        spectrum = integer_spectrum(IntPoly.of(-2, 0, 1))
+        spectrum = integer_spectrum(IntPoly((-2, 0, 1)))
         assert not spectrum.is_integral
-        assert spectrum.residual == IntPoly.of(-2, 0, 1)
+        assert spectrum.residual == IntPoly((-2, 0, 1))
 
     def test_plain_x(self):
-        spectrum = integer_spectrum(IntPoly.x())
+        spectrum = integer_spectrum(IntPoly((0, 1)))
         assert spectrum.roots == (0,) and spectrum.is_integral
 
     def test_partial_peel(self):
         # x * (x-2) * (x^2 - 4x + 2): the quadratic has no integer roots
-        p = IntPoly.from_roots([0, 2]) * IntPoly.of(2, -4, 1)
+        p = linear_product([0, 2], (2, -4, 1))
         spectrum = integer_spectrum(p)
         assert not spectrum.is_integral
-        assert spectrum.roots == (0, 2) and spectrum.residual == IntPoly.of(2, -4, 1)
+        assert spectrum.roots == (0, 2) and spectrum.residual == IntPoly((2, -4, 1))
 
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
-            integer_spectrum(IntPoly.of(1, 2))
+            integer_spectrum(IntPoly((1, 2)))
+
+    def test_peeling_builds_no_polynomial_per_root(self, monkeypatch):
+        # each root is peeled by one synthetic division on a list, so only a
+        # residual becomes an IntPoly
+        integral = laplacian_char_poly(SignedGraph.complete(12))
+        partial = linear_product([0, 2], (2, -4, 1))
+        built = []
+        post_init = IntPoly.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(IntPoly, "__post_init__", counted)
+        assert integer_spectrum(integral) == IntegerSpectrum((0,) + (12,) * 11)
+        assert built == []
+        spectrum = integer_spectrum(partial)
+        assert len(built) == 1 and built[0] is spectrum.residual
+        assert spectrum.residual.coeffs == (2, -4, 1)
 
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=6))
     def test_recovers_planted_roots(self, roots):
-        spectrum = integer_spectrum(IntPoly.from_roots(roots))
+        spectrum = integer_spectrum(linear_product(roots))
         assert spectrum.is_integral and spectrum.roots == tuple(sorted(roots))
 
     @given(st.lists(st.integers(-6, 6), max_size=4))
     def test_multiplies_back(self, roots):
-        p = IntPoly.from_roots(roots) * IntPoly.of(1, 1, 1)  # irreducible tail
+        p = linear_product(roots, (1, 1, 1))  # irreducible tail
         spectrum = integer_spectrum(p)
-        residual = spectrum.residual if spectrum.residual is not None else IntPoly.one()
-        assert IntPoly.from_roots(spectrum.roots) * residual == p
+        residual = spectrum.residual if spectrum.residual is not None else IntPoly((1,))
+        assert linear_product(spectrum.roots, residual.coeffs) == p
 
 
 class TestBoundedRootSearch:
@@ -265,10 +286,10 @@ class TestBoundedRootSearch:
         ("p", "roots", "residual"),
         [
             # the root 10^6 is the cofactor of 1 and above sqrt(q(0)) = 1000
-            (IntPoly.from_roots([10**6, 1]), (1, 10**6), None),
-            (IntPoly.from_roots([10**6, 1]) * IntPoly.of(1, 1, 1), (1, 10**6), IntPoly.of(1, 1, 1)),
+            (linear_product([10**6, 1]), (1, 10**6), None),
+            (linear_product([10**6, 1], (1, 1, 1)), (1, 10**6), IntPoly((1, 1, 1))),
             # bound 2*10^6: the cofactors of the divisors below 5*10^5 are not tried
-            (IntPoly.of(10**12, 0, 1), (), IntPoly.of(10**12, 0, 1)),
+            (IntPoly((10**12, 0, 1)), (), IntPoly((10**12, 0, 1))),
         ],
     )
     def test_roots_beyond_and_within_the_cap(self, p, roots, residual):
@@ -297,11 +318,10 @@ class TestBoundedRootSearch:
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(-(10**4), 10**4), max_size=6),
-        st.sampled_from([IntPoly.one(), IntPoly.of(1, 1, 1), IntPoly.of(-2, 0, 1),
-                         IntPoly.of(-2, 0, 0, 1)]),
+        st.sampled_from([(1,), (1, 1, 1), (-2, 0, 1), (-2, 0, 0, 1)]),
     )
     def test_matches_trial_division(self, planted, tail):
-        p = IntPoly.from_roots(planted) * tail
+        p = linear_product(planted, tail)
         # tail has no integer root, so every integer root is planted in +-10^4
         roots, cofactor = trial_division_roots(p.coeffs, 10**4)
         residual = None if cofactor == [1] else IntPoly(tuple(cofactor))
@@ -348,8 +368,8 @@ class TestSivOracle:
     def test_type1_path(self):
         g, v, w = p3_leaves()
         before, after = laplacian_char_poly(g), laplacian_char_poly(g.add_edge(v, w, EVEN))
-        assert before == IntPoly.of(0, 3, -4, 1)
-        assert after == IntPoly.of(0, 9, -6, 1)
+        assert before == IntPoly((0, 3, -4, 1))
+        assert after == IntPoly((0, 9, -6, 1))
         verdict = siv_oracle(g, v, w, EVEN)
         assert verdict.params == ("type1", 1, None, None)
         assert integer_spectrum(before).roots == (0, 1, 3)
@@ -539,40 +559,44 @@ class TestDerivedAdditionPolynomials:
 class TestVerifyShiftIdentity:
     def test_type1_example(self):
         assert verify_shift_identity(
-            IntPoly.of(0, 3, -4, 1), IntPoly.of(0, 9, -6, 1), SivVerdict("type1", lam=1)
+            IntPoly((0, 3, -4, 1)), IntPoly((0, 9, -6, 1)), SivVerdict("type1", lam=1)
         )
 
     def test_type2_example(self):
         assert verify_shift_identity(
-            IntPoly.of(0, 0, -2, 1), IntPoly.of(0, 3, -4, 1), SivVerdict("type2", s=2, p=0)
+            IntPoly((0, 0, -2, 1)), IntPoly((0, 3, -4, 1)), SivVerdict("type2", s=2, p=0)
         )
 
     def test_equal_polynomials_fail(self):
-        p = IntPoly.of(0, 3, -4, 1)
+        p = IntPoly((0, 3, -4, 1))
         assert not verify_shift_identity(p, p, SivVerdict("type1", lam=1))
         assert not verify_shift_identity(p, p, SivVerdict("type2", s=2, p=0))
 
     def test_polynomial_after_solves_the_identity(self):
-        assert polynomial_after(IntPoly.of(0, 3, -4, 1), SivVerdict("type1", lam=1)) == IntPoly.of(0, 9, -6, 1)
-        assert polynomial_after(IntPoly.of(0, 0, -2, 1), SivVerdict("type2", s=2, p=0)) == IntPoly.of(0, 3, -4, 1)
-        # the written-out q(x - 1) against the composition, over a grid of s, rho
+        assert polynomial_after(IntPoly((0, 3, -4, 1)), SivVerdict("type1", lam=1)) == IntPoly((0, 9, -6, 1))
+        assert polynomial_after(IntPoly((0, 0, -2, 1)), SivVerdict("type2", s=2, p=0)) == IntPoly((0, 3, -4, 1))
+        # the written-out q(x - 1) against the composition, over a grid of
+        # s, rho: p' = x (x - s) (x - rho) q(x - 1) has degree 5, so it is
+        # fixed by its values at nine points
         for s in range(-3, 9):
             for rho in range(-5, 11):
-                q = IntPoly.of(rho, -s, 1)
-                p = q * IntPoly.from_roots([0, s, rho])
-                expected = (p * q.shifted(-1)).div_exact(q)
-                assert polynomial_after(p, SivVerdict("type2", s=s, p=rho)) == expected
+                q = IntPoly((rho, -s, 1))
+                p = linear_product([0, s, rho], q.coeffs)
+                after = polynomial_after(p, SivVerdict("type2", s=s, p=rho))
+                assert after.degree == 5
+                for t in range(-4, 5):
+                    assert evaluate(after, t) == t * (t - s) * (t - rho) * evaluate(q, t - 1)
         with pytest.raises(ValueError):
-            polynomial_after(IntPoly.x(), SivVerdict("none"))
+            polynomial_after(IntPoly((0, 1)), SivVerdict("none"))
 
     def test_none_verdict_rejected(self):
         with pytest.raises(ValueError):
-            verify_shift_identity(IntPoly.x(), IntPoly.x(), SivVerdict("none"))
+            verify_shift_identity(IntPoly((0, 1)), IntPoly((0, 1)), SivVerdict("none"))
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             verify_shift_identity(
-                IntPoly.x(), IntPoly.of(0, 0, 1), SivVerdict("type1", lam=0)
+                IntPoly((0, 1)), IntPoly((0, 0, 1)), SivVerdict("type1", lam=0)
             )
 
 
