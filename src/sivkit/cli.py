@@ -16,6 +16,8 @@ import random
 import sys
 from collections import Counter
 from functools import cache
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .completion import (
     is_sigma_completable,
@@ -26,7 +28,7 @@ from .completion import (
 )
 from .enumeration import cross_check, iter_signed_graphs, random_signed_graph
 from .fileio import MAX_VERTICES, load_sg, load_sk
-from .graphs import EVEN, ODD, switching_normal_form
+from .graphs import EVEN, ODD, SignedGraph, switching_normal_form
 from .sivcheck import classify
 from .spectra import NONE, integer_spectrum, laplacian_char_poly, siv_oracle, verify_shift_identity
 
@@ -159,37 +161,52 @@ def _check_enumerate_args(args: argparse.Namespace) -> None:
         raise ValueError("workers must be at least 1")
 
 
+def _distinct_classes(graphs: Iterable[SignedGraph]) -> Iterator[SignedGraph]:
+    """The graphs that are the first of their switching class, in order."""
+    seen: set = set()
+    for g in graphs:
+        canon = switching_normal_form(g)
+        if canon not in seen:
+            seen.add(canon)
+            yield g
+
+
+def _sweep_graphs(n_limit: int, samples: int, seed: int, canonical: bool) -> Iterator[SignedGraph]:
+    """The graphs enumerate sweeps, made one at a time: seeded samples, or
+    every labelled graph, and with canonical the first of each switching
+    class.  The same arguments give the same graphs in the same order."""
+    if samples:
+        rng = random.Random(seed)
+        graphs = (random_signed_graph(rng, n_limit) for _ in range(samples))
+    else:
+        graphs = iter_signed_graphs(n_limit)
+    return _distinct_classes(graphs) if canonical else graphs
+
+
+def _tally_share(task: tuple) -> Counter:
+    """One worker's tally: it makes the whole sweep and tallies every
+    step-th graph from the start-th, so no graph is pickled."""
+    *sweep, start, step = task
+    return _tally_graphs(islice(_sweep_graphs(*sweep), start, None, step))
+
+
 def run_enumerate(args: argparse.Namespace) -> int:
     _check_enumerate_args(args)
-    if args.samples:
-        rng = random.Random(args.seed)
-        graphs = (random_signed_graph(rng, args.n_limit) for _ in range(args.samples))
-    else:
-        graphs = iter_signed_graphs(args.n_limit)
-    if args.canonical:
-        seen: set = set()
-        deduped = []
-        for g in graphs:
-            canon = switching_normal_form(g)
-            if canon not in seen:
-                seen.add(canon)
-                deduped.append(g)
-        graphs = deduped
-    # more processes than batches or cores would only idle; the tally does not
-    # depend on how the graphs are batched.  Only a pool lists the graphs
+    sweep = (args.n_limit, args.samples, args.seed, args.canonical)
+    # more processes than graphs or cores would only idle, so at most that
+    # many graphs are counted; the tally does not depend on how the sweep is
+    # shared out
     workers = min(args.workers, os.cpu_count() or 1)
     if workers > 1:
-        graphs = list(graphs)
-        workers = min(workers, len(graphs))
+        workers = sum(1 for _ in islice(_sweep_graphs(*sweep), workers))
     if workers > 1:
         import multiprocessing  # on demand: about 1 MB that runs without a pool never use
 
-        chunk = -(-len(graphs) // workers)
-        batches = [graphs[i : i + chunk] for i in range(0, len(graphs), chunk)]
-        with multiprocessing.Pool(len(batches)) as pool:
-            tally = sum(pool.map(_tally_graphs, batches), Counter())
+        tasks = [(*sweep, start, workers) for start in range(workers)]
+        with multiprocessing.Pool(workers) as pool:
+            tally = sum(pool.map(_tally_share, tasks), Counter())
     else:
-        tally = _tally_graphs(graphs)
+        tally = _tally_graphs(_sweep_graphs(*sweep))
     graph_count = tally["graphs"]
     counts = {k: tally[k] for k in ("type1", "type2", "none")}
     instance_count = tally["instances"]

@@ -92,6 +92,52 @@ class SignedGraph:
             adj[v][u] = is_odd
         return adj
 
+    @cached_property
+    def _bits(self) -> tuple[list[int], list[int]]:
+        """(neighbours, odd): entry v of each list is a bitmask over the
+        vertices, bit x set when x is a neighbour of v, or an odd neighbour.
+        Entry 0 is 0.  The lists are shared with graphs made by add_edge, so
+        they must not be mutated."""
+        nbr = [0] * (self.n + 1)
+        odd = [0] * (self.n + 1)
+        for u, v in self.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        for u, v in self.odd:
+            odd[u] |= 1 << v
+            odd[v] |= 1 << u
+        return nbr, odd
+
+    @cached_property
+    def _packed(self) -> tuple[int, int, list[int]]:
+        """(w, bias, columns): entry j of columns is column j of the signed
+        Laplacian L as one integer, L_xj in the signed w-bit slot at bit
+        x*w, so L y for a vector y is the sum of y_j times column j.  bias
+        is 2^(w-1) in every slot 0..n; entry 0 of columns is 0, and the
+        list is shared with graphs made by add_edge, so it must not be
+        mutated.
+
+        w = 2*bitlen(n) + 4 packs every vector the oracle compares
+        injectively: for u = e_v +- e_w with v, w non-adjacent, every slot
+        of L u, L^2 u and a L u + b u (a <= 2n - 1, b read off L^2 u at v)
+        is at most 6n^2 < 2^(w-1) in absolute value, and integers whose slots
+        all lie strictly between -2^(w-1) and 2^(w-1) are equal exactly when
+        their slots are.  A slot is read as ((y + bias) >> x*w & mask) -
+        2^(w-1): without the bias, a negative slot borrows from the one
+        above it."""
+        w = 2 * self.n.bit_length() + 4
+        at = [1 << x * w for x in range(self.n + 1)]  # 1 in slot x
+        columns = [0] * (self.n + 1)
+        for u, v in self.edges:
+            # 1 on the diagonal and -1 off it; the odd edges add 2 below
+            step = at[u] - at[v]
+            columns[u] += step
+            columns[v] -= step
+        for u, v in self.odd:
+            columns[u] += at[v] << 1
+            columns[v] += at[u] << 1
+        return w, sum(at) << (w - 1), columns
+
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
@@ -129,8 +175,9 @@ class SignedGraph:
     def add_edge(self, u: int, v: int, parity: str) -> SignedGraph:
         """This graph plus the edge uv of the given parity.
 
-        The child's adjacency is this graph's with rows u and v copied, so
-        the other rows are shared.
+        Each of _adj, _bits and _packed that this graph has built is carried
+        to the child with entries u and v updated and the rest shared; the
+        child builds any other from scratch when it is first read.
         """
         _check_parity(parity)
         e = edge(u, v)
@@ -138,10 +185,29 @@ class SignedGraph:
             raise ValueError(f"edge ({u},{v}) already present")
         is_odd = parity == ODD
         child = SignedGraph(self.n, self.edges | {e}, self.odd | {e} if is_odd else self.odd)
-        adj = dict(self._adj)
-        adj[u] = {**adj[u], v: is_odd}
-        adj[v] = {**adj[v], u: is_odd}
-        vars(child)["_adj"] = adj  # fills the cached property
+        built, carried = vars(self), vars(child)  # writing to vars fills a cached property
+        if "_adj" in built:
+            adj = dict(built["_adj"])
+            adj[u] = {**adj[u], v: is_odd}
+            adj[v] = {**adj[v], u: is_odd}
+            carried["_adj"] = adj
+        if "_bits" in built:
+            nbr, odd = built["_bits"]
+            nbr = nbr.copy()
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+            if is_odd:
+                odd = odd.copy()
+                odd[u] |= 1 << v
+                odd[v] |= 1 << u
+            carried["_bits"] = nbr, odd
+        if "_packed" in built:
+            w, bias, columns = built["_packed"]
+            at_u, at_v = 1 << u * w, 1 << v * w
+            columns = columns.copy()
+            columns[u] += at_u + at_v if is_odd else at_u - at_v
+            columns[v] += at_v + at_u if is_odd else at_v - at_u
+            carried["_packed"] = w, bias, columns
         return child
 
     def remove_edge(self, u: int, v: int) -> SignedGraph:
@@ -253,15 +319,13 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingResult:
 
 def _check_pair(g: SignedGraph, v: int, w: int) -> None:
     """Refuse v == w, a vertex outside g (v first) and an adjacent pair, in
-    that order, reading g's adjacency once."""
+    that order; adjacency is one bit of g._bits."""
     if v == w:
         raise ValueError("v and w must be distinct")
-    adj = g._adj
-    if v not in adj:
+    if not (0 < v <= g.n and 0 < w <= g.n):
         g._check_vertex(v)
-    if w not in adj:
         g._check_vertex(w)
-    if w in adj[v]:
+    if g._bits[0][v] >> w & 1:
         raise ValueError(f"vertices {v} and {w} are adjacent")
 
 
@@ -271,8 +335,9 @@ def _laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
     deg(j) y_j at j, and -y_j or +y_j at each even or odd neighbour of j,
     summed into a list indexed by vertex.  So the product costs n plus the
     degrees summed over y's support, and no row of L is built.  The keys of
-    y must be vertices of g; the callers' keys are checked vertices or come
-    from g's adjacency."""
+    y must be vertices of g.  Unlike the oracle's products on g._packed, the
+    entries of y and of L y are unbounded: the type-2 certificate check
+    reads it."""
     adj = g._adj
     out = [0] * (g.n + 1)
     for j, c in y.items():

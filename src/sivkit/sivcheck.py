@@ -12,7 +12,6 @@ shifted pair's quadratic r^2 - s*r + p, which two integer identities check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .graphs import (
     EVEN,
@@ -26,11 +25,15 @@ from .graphs import (
 from .spectra import NONE, TYPE1, TYPE2, SivVerdict
 
 
-def _same_signed_neighbors(av: Mapping[int, bool], aw: Mapping[int, bool], flipped: bool) -> bool:
-    """Equal adjacency dicts, or (flipped) equal keys with every parity swapped."""
-    if not flipped:
-        return av == aw
-    return av.keys() == aw.keys() and all(aw[x] != odd for x, odd in av.items())
+def _type1_degree(g: SignedGraph, v: int, w: int, pi: bool) -> int | None:
+    """The common degree of v and w when their signed neighbourhoods are
+    equal (pi false) or mirrored, every parity swapped (pi true), else None:
+    two comparisons of g._bits masks."""
+    nbr, odd = g._bits
+    nv = nbr[v]
+    if nv == nbr[w] and odd[v] == (odd[w] ^ nv if pi else odd[w]):
+        return nv.bit_count()
+    return None
 
 
 def check_type1(g: SignedGraph, v: int, w: int, parity: str) -> bool:
@@ -38,7 +41,7 @@ def check_type1(g: SignedGraph, v: int, w: int, parity: str) -> bool:
     parity) signed neighborhoods of v and w."""
     _check_parity(parity)
     _check_pair(g, v, w)
-    return _same_signed_neighbors(g.adjacency(v), g.adjacency(w), parity != EVEN)
+    return _type1_degree(g, v, w, parity != EVEN) is not None
 
 
 _CONDITION_NAMES = ("A", "B", "C", "D", "E", "positivity")
@@ -76,62 +79,60 @@ def check_type2(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
 
 
 def _type2(g: SignedGraph, v: int, w: int, pi: bool) -> SivVerdict:
-    """check_type2 on a checked pair, pi true for an odd addition.
+    """check_type2 on a checked pair, pi true for an odd addition, on the
+    masks of g._bits.
+
+    Blocks A-E and the switching side are masks.  Row u of the centered
+    form has its odd edges at the neighbours x with odd(ux) ^ side(u) ^
+    side(x); of the neighbours k in A, B and D, those that add their weight
+    with a plus sign (an odd edge into A or D, an even one into B) form pos,
+    so the row combination is weight(u) deg(u) + (2|pos| - |k|) +
+    (2|pos & D| - |k & D|), with D's weight 2.
 
     The six conditions go into a mask of the failed ones, bit k for the k-th
     of _CONDITION_NAMES, and a failing mask returns its prebuilt none verdict
     from _NONE_BY_FAILED: every condition is still evaluated and reported,
     and no none verdict or conditions tuple is built per call.
     """
-    adj = g._adj
-    av, aw = adj[v], adj[w]
-    side = [False] * (g.n + 1)
-    weight = [0] * (g.n + 1)
-    side[w] = pi
-    a_block, b_block, c_block, d_block = [], [], [], []
-    for x, odd in av.items():
-        side[x] = odd
-        if x not in aw:
-            a_block.append(x)
-            weight[x] = 1
-        elif odd ^ aw[x] ^ pi:
-            d_block.append(x)
-            weight[x] = 2
-        else:
-            c_block.append(x)
-    for x, odd in aw.items():
-        if x not in av:
-            side[x] = odd ^ pi
-            b_block.append(x)
-            weight[x] = -1
-    e_block = [u for u in g.vertices if u != v and u != w and u not in av and u not in aw]
-    d1, d2 = len(av), len(aw)
-
-    def rows_equal(block: list[int], target: int) -> bool:
-        for u in block:
-            row = adj[u]
-            su = side[u]
-            total = weight[u] * len(row)
-            for x, odd in row.items():
-                wx = weight[x]
-                if wx:
-                    total += wx if odd ^ su ^ side[x] else -wx
-            if total != target:
-                return False
-        return True
-
-    failed = (
-        (not rows_equal(a_block, d2 + 1))
-        | (not rows_equal(b_block, -(d1 + 1))) << 1
-        | (not rows_equal(c_block, d2 - d1)) << 2
-        | (not rows_equal(d_block, d1 + d2 + 2)) << 3
-        | (not rows_equal(e_block, 0)) << 4
-        | (len(a_block) + len(b_block) + 4 * len(d_block) <= 0) << 5
+    nbr, odd = g._bits
+    nv, nw = nbr[v], nbr[w]
+    common = nv & nw
+    a_block = nv ^ common
+    b_block = nw ^ common
+    d_block = common & (odd[v] ^ odd[w] ^ (common if pi else 0))
+    c_block = common ^ d_block
+    e_block = ((1 << g.n + 1) - 2) & ~(nv | nw | 1 << v | 1 << w)
+    side = odd[v] | (odd[w] & b_block) ^ (b_block if pi else 0) | pi << w
+    weighted = a_block | b_block | d_block
+    plus_side = side ^ b_block  # an edge into B adds its weight when even
+    d1, d2 = nv.bit_count(), nw.bit_count()
+    d = d_block.bit_count()
+    failed = (a_block.bit_count() + b_block.bit_count() + 4 * d <= 0) << 5
+    blocks = (
+        (1, a_block, 1, d2 + 1),
+        (2, b_block, -1, -(d1 + 1)),
+        (4, c_block, 0, d2 - d1),
+        (8, d_block, 2, d1 + d2 + 2),
+        (16, e_block, 0, 0),
     )
+    for bit, block, weight, target in blocks:
+        while block:
+            low = block & -block
+            block ^= low
+            u = low.bit_length() - 1
+            row = nbr[u]
+            k = row & weighted
+            pos = k & (odd[u] ^ plus_side)
+            if side & low:
+                pos ^= k
+            total = (weight * row.bit_count() + 2 * pos.bit_count() - k.bit_count()
+                     + 2 * (pos & d_block).bit_count() - (k & d_block).bit_count())
+            if total != target:
+                failed |= bit
+                break
     if failed:
         return _NONE_BY_FAILED[failed]
-    p = d1 * d2 + len(c_block) - len(d_block)
-    return SivVerdict(TYPE2, s=d1 + d2 + 1, p=p, conditions=_ALL_HOLD)
+    return SivVerdict(TYPE2, s=d1 + d2 + 1, p=d1 * d2 + c_block.bit_count() - d, conditions=_ALL_HOLD)
 
 
 def classify(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
@@ -140,9 +141,9 @@ def classify(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     _check_parity(parity)
     _check_pair(g, v, w)
     pi = parity != EVEN
-    av = g._adj[v]
-    if _same_signed_neighbors(av, g._adj[w], pi):
-        return SivVerdict(TYPE1, lam=len(av))
+    lam = _type1_degree(g, v, w, pi)
+    if lam is not None:
+        return SivVerdict(TYPE1, lam=lam)
     return _type2(g, v, w, pi)
 
 

@@ -16,7 +16,7 @@ from itertools import chain, repeat
 from operator import add, index, lshift, mul
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import ODD, SignedGraph, _check_pair, _check_parity, _laplacian_times
+from .graphs import ODD, SignedGraph, _check_pair, _check_parity
 from .polynomials import IntPoly, _div_coeffs, _mul_coeffs
 
 NONE = "none"
@@ -26,16 +26,16 @@ TYPE2 = "type2"
 
 def signed_laplacian(g: SignedGraph) -> tuple[tuple[int, ...], ...]:
     """Degree diagonal minus signed adjacency: even edge -1, odd edge +1,
-    as a tuple of integer rows."""
-    rows = []
-    for u in g.vertices:
-        adj = g.adjacency(u)
-        row = [0] * g.n
-        row[u - 1] = len(adj)
-        for x, is_odd in adj.items():
-            row[x - 1] = 1 if is_odd else -1
-        rows.append(tuple(row))
-    return tuple(rows)
+    as a tuple of integer rows, written straight from the edge sets."""
+    rows = [[0] * g.n for _ in g.vertices]
+    for u, v in g.edges:
+        row_u, row_v = rows[u - 1], rows[v - 1]
+        row_u[v - 1] = row_v[u - 1] = -1
+        row_u[u - 1] += 1
+        row_v[v - 1] += 1
+    for u, v in g.odd:
+        rows[u - 1][v - 1] = rows[v - 1][u - 1] = 1
+    return tuple(map(tuple, rows))
 
 
 def _read_square(m: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -307,39 +307,55 @@ def _krylov_factor(g: SignedGraph, v: int, w: int, parity: str) -> tuple[int, ..
     L^2 u = a L u + b u has a = d_v + d_w + 1; None for any other u.  m is
     x - lam on a line and x^2 - a x - b on a plane.
 
-    One pass over the keys of y1 = L u finds the first entry i outside v
-    and w, where u is 0.  With no such entry y1 lies on v and w, and u
-    spans a line when y1_w = sign * y1_v (u is none otherwise).  With one,
-    a is known before L y1 is formed: the plane needs (L y1)_i = a y1_i,
-    which row i of L gives in deg(i) steps; only when it holds is
-    y2 = L y1 formed, b read at v, and the plane checked entry by entry.
-    Entry i fixes the a of any plane through u, so a plane with another a
-    fails there.  It costs one sparse product L y, or two when entry i
-    passes.
+    Vectors are packed integers on g._packed, so y1 = L u is the sum of
+    columns v and w, and u spans a line exactly when y1 = d_v u (entry v
+    of y1 is d_v); degrees and neighbours are read off g._bits.  Otherwise
+    the lowest non-zero slot of y1 outside v and w is entry i, where u is
+    0; with none, u is none.  a is known before L y1 is formed: the plane
+    needs (L y1)_i = a y1_i, which row i of L gives in deg(i) slot reads;
+    only when it holds is y2 = L y1 formed, one column per entry of y1, b
+    read at v, and the plane checked by the one comparison
+    y2 == a y1 + b u.  Entry i fixes the a of any plane through u, so a
+    plane with another a fails there.
     """
-    sign = 1 if parity == ODD else -1
-    y1 = _laplacian_times(g, {v: 1, w: sign})
-    for i in y1:
-        if i != v and i != w:
-            break
+    nbr, odd = g._bits
+    width, bias, columns = g._packed
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    at_v, at_w = 1 << v * width, 1 << w * width
+    if parity == ODD:
+        sign, y1, u = 1, columns[v] + columns[w], at_v + at_w
     else:
-        lam = y1.get(v, 0)
-        return (-lam, 1) if y1.get(w, 0) == sign * lam else None
-    adj = g._adj
-    a = len(adj[v]) + len(adj[w]) + 1
-    row = adj[i]
-    at_i = len(row) * y1[i]  # (L y1)_i
-    for x, is_odd in row.items():
-        c = y1.get(x, 0)
-        at_i += c if is_odd else -c
-    if at_i != a * y1[i]:
+        sign, y1, u = -1, columns[v] - columns[w], at_v - at_w
+    dv, dw = nbr[v].bit_count(), nbr[w].bit_count()
+    if y1 == dv * u:
+        return (-dv, 1)
+    rest = y1 - dv * at_v - sign * dw * at_w  # y1 without entries v and w
+    if not rest:
         return None
-    y2 = _laplacian_times(g, y1)
-    b = y2.get(v, 0) - a * y1.get(v, 0)
-    plane = {x: a * c for x, c in y1.items()}  # a L u + b u
-    plane[v] = plane.get(v, 0) + b
-    plane[w] = plane.get(w, 0) + sign * b
-    if y2 != {x: c for x, c in plane.items() if c}:
+    i = ((rest & -rest).bit_length() - 1) // width
+    # the slots below i are 0, so slot i is the low width bits of rest >> i*width
+    y1_i = ((rest >> i * width) + half & mask) - half
+    biased = y1 + bias
+    at_i = nbr[i].bit_count() * y1_i  # (L y1)_i
+    row, odd_i = nbr[i], odd[i]
+    while row:
+        low = row & -row
+        row ^= low
+        c = (biased >> (low.bit_length() - 1) * width & mask) - half
+        at_i += c if odd_i & low else -c
+    a = dv + dw + 1
+    if at_i != a * y1_i:
+        return None
+    y2 = 0
+    support = nbr[v] | nbr[w] | 1 << v | 1 << w
+    while support:
+        low = support & -support
+        support ^= low
+        j = low.bit_length() - 1
+        y2 += ((biased >> j * width & mask) - half) * columns[j]
+    b = ((y2 + bias) >> v * width & mask) - half - a * dv
+    if y2 != a * y1 + b * u:
         return None
     return (-b, -a, 1)
 

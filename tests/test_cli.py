@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -540,7 +541,7 @@ class TestEnumerate:
 
     def test_one_worker_holds_one_graph_at_a_time(self, capsys, monkeypatch):
         # the sweep reads the graphs as they are made, so the first graph,
-        # and the adjacency cross_check cached on it, is freed long before
+        # and the encodings cross_check cached on it, is freed long before
         # the last is tallied
         first, alive = [], []
 
@@ -569,6 +570,8 @@ class TestEnumerate:
             (["--n-limit", "3", "--workers", "3"], 64, 3),  # by the workers asked for
             (["--n-limit", "5", "--samples", "2", "--workers", "8"], 64, 2),  # by the graphs
             (["--n-limit", "3", "--workers", "4"], 1, None),  # one core: no pool at all
+            # every worker de-duplicates the whole sweep and keeps its share
+            (["--n-limit", "4", "--canonical", "--workers", "3"], 64, 3),
         ],
     )
     def test_pool_size_is_bounded(self, argv, cores, pool_size, capsys, monkeypatch):
@@ -586,9 +589,12 @@ class TestEnumerate:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, func, batches):
-                assert len(batches) <= sizes[-1]
-                return [func(batch) for batch in batches]
+            def map(self, func, tasks):
+                # one task per worker, each a few numbers and flags: no
+                # graph is listed or pickled
+                assert len(tasks) == sizes[-1]
+                assert all(len(pickle.dumps(task)) < 100 for task in tasks)
+                return [func(task) for task in tasks]
 
         assert main(["enumerate", "--json", *argv[:-2]]) == EXIT_OK
         sequential = capsys.readouterr().out

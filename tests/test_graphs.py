@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations
 from types import MappingProxyType
 
 import pytest
@@ -25,6 +26,7 @@ from sivkit import (
     switching_normal_form,
 )
 from sivkit.enumeration import cross_check, iter_signed_graphs, iter_signings
+from sivkit.fileio import MAX_VERTICES
 from sivkit.graphs import _laplacian_times
 
 from conftest import (
@@ -360,14 +362,19 @@ class TestEdgeQuantities:
                 )
 
 
-def dense_laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
-    """L y from the dense n x n signed Laplacian, built from the edge set."""
+def dense_laplacian(g: SignedGraph) -> list[list[int]]:
+    """The signed Laplacian as rows indexed 1..n, built from the edge set."""
     lap = [[0] * (g.n + 1) for _ in range(g.n + 1)]
     for u, v in g.edges:
-        sign = 1 if (u, v) in g.odd else -1
-        lap[u][v] = lap[v][u] = sign
+        lap[u][v] = lap[v][u] = 1 if (u, v) in g.odd else -1
         lap[u][u] += 1
         lap[v][v] += 1
+    return lap
+
+
+def dense_laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
+    """L y from the dense n x n signed Laplacian."""
+    lap = dense_laplacian(g)
     out = {u: sum(lap[u][j] * c for j, c in y.items()) for u in g.vertices}
     return {u: c for u, c in out.items() if c}
 
@@ -390,6 +397,90 @@ class TestLaplacianTimes:
         plus = {1: 1, 2: 1}
         assert _laplacian_times(g, minus) == dense_laplacian_times(g, minus) == {1: 2, 2: -2, 4: -2}
         assert _laplacian_times(g, plus) == dense_laplacian_times(g, plus) == {1: 2, 2: 2, 3: -2}
+
+
+def fresh(g: SignedGraph) -> SignedGraph:
+    """g rebuilt from its edge sets, with no cached encoding."""
+    return SignedGraph(g.n, g.edges, g.odd)
+
+
+class TestEncodings:
+    """The bitmasks and packed Laplacian columns cached on a graph, carried
+    by add_edge or built from scratch."""
+
+    def test_carried_along_seeded_plans_equal_fresh_ones(self):
+        # toward a switched all-even K_n from the complete graph minus a
+        # random star, which plans every missing star edge, odd and even
+        rng = random.Random("encodings")
+        for n in range(6, MAX_VERTICES + 1):
+            flipped = {x for x in range(1, n + 1) if rng.random() < 0.5}
+            odd = [(u, v) for u, v in combinations(range(1, n + 1), 2) if (u in flipped) != (v in flipped)]
+            target = SignedComplete.of(n, odd)
+            centre = rng.randint(1, n)
+            leaves = rng.sample([x for x in range(1, n + 1) if x != centre], n // 2)
+            g = SignedGraph.complete(n, odd)
+            for x in leaves:
+                g = g.remove_edge(centre, x)
+            steps = plan_completion(g, target).steps
+            assert len(steps) == n // 2
+            for step in steps:
+                for name in ("_adj", "_bits", "_packed"):
+                    getattr(g, name)  # built, so add_edge carries it
+                g = g.add_edge(*step.edge, step.parity)
+                assert {"_adj", "_bits", "_packed"} <= vars(g).keys()
+                scratch = fresh(g)
+                assert g._bits == scratch._bits, (g, step)
+                assert g._packed == scratch._packed, (g, step)
+                assert g._adj == scratch._adj, (g, step)
+
+    def test_child_of_a_parent_without_them_builds_them_lazily(self):
+        parent = SignedGraph.of(5, [(1, 2, ODD), (2, 3, EVEN), (4, 5, EVEN)])
+        child = parent.add_edge(1, 3, ODD)
+        assert not {"_adj", "_bits", "_packed"} & (vars(parent).keys() | vars(child).keys())
+        assert classify(child, 1, 4, EVEN) == classify(fresh(child), 1, 4, EVEN)
+        assert siv_oracle(child, 1, 4, EVEN) == siv_oracle(fresh(child), 1, 4, EVEN)
+        assert child._bits == fresh(child)._bits and child._packed == fresh(child)._packed
+        assert not {"_bits", "_packed"} & vars(parent).keys()
+        nbr, odd = child._bits
+        assert nbr[1] == 0b1100 and odd[1] == 0b1100 and nbr[3] == 0b110 and odd[3] == 0b10
+
+    def test_packed_columns_are_the_laplacian(self):
+        for g in random_graphs(7, 30, 9):
+            w, bias, columns = g._packed
+            half, mask = 1 << (w - 1), (1 << w) - 1
+            lap = dense_laplacian(g)
+            for j in g.vertices:
+                slots = [((columns[j] + bias) >> x * w & mask) - half for x in range(g.n + 1)]
+                assert slots == [lap[x][j] for x in range(g.n + 1)], (g, j)
+
+    @pytest.mark.parametrize("shape", ["star", "complete minus an edge", "complete bipartite"])
+    def test_slots_stay_below_the_width_at_the_vertex_cap(self, shape):
+        # the oracle's compared vectors for u = e_v -+ e_w on the first
+        # non-adjacent pair, each parity: L^2 u, a L u, b u and a L u + b u,
+        # with a = d_v + d_w + 1 and b = (L^2 u)_v - a (L u)_v
+        n = MAX_VERTICES
+        pairs = combinations(range(1, n + 1), 2)
+        if shape == "star":
+            g = SignedGraph.all_even(n, [(1, x) for x in range(2, n + 1)])
+        elif shape == "complete minus an edge":
+            g = SignedGraph.complete(n).remove_edge(1, 2)
+        else:
+            g = SignedGraph.all_even(n, [(u, v) for u, v in pairs if u % 2 != v % 2])
+        w = g._packed[0]
+        lap = dense_laplacian(g)
+        v, x = next(g.non_adjacent_pairs())
+        largest = 0
+        for sign in (-1, 1):
+            u = [0] * (n + 1)
+            u[v], u[x] = 1, sign
+            y1 = [sum(a * b for a, b in zip(row, u)) for row in lap]
+            y2 = [sum(a * b for a, b in zip(row, y1)) for row in lap]
+            a = g.degree(v) + g.degree(x) + 1
+            b = y2[v] - a * y1[v]
+            for vector in (y1, y2, [a * c for c in y1], [b * c for c in u],
+                           [a * c + b * d for c, d in zip(y1, u)]):
+                largest = max(largest, max(map(abs, vector)))
+        assert 0 < largest <= 6 * n * n < 1 << (w - 1), (largest, w)
 
 
 class TestSpectrumInvariance:

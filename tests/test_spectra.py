@@ -34,7 +34,6 @@ from sivkit.spectra import (
     polynomial_after,
 )
 from sivkit.fileio import MAX_VERTICES
-from sivkit.graphs import _laplacian_times
 
 from conftest import (
     all_switch_sets,
@@ -388,31 +387,44 @@ class TestSivOracle:
         assert siv_oracle(g, 1, 4, EVEN).kind == "none"
 
     @pytest.mark.parametrize("parity", [EVEN, ODD])
-    def test_plane_with_another_a_is_none_from_one_product(self, monkeypatch, parity):
+    def test_plane_with_another_a_is_none_from_one_product(self, parity):
         # 2K2 with the even edges 14 and 23, adding 12: u spans the plane
         # L^2 u = 2 L u, but a type-2 plane needs a = d_1 + d_2 + 1 = 3, so
         # the verdict is none, and entry 3 ((L^2 u)_3 = 2 y1_3, not 3 y1_3)
-        # refuses it before L^2 u is formed.
+        # refuses it before L^2 u is formed.  On the packed path L u reads
+        # the columns of v and w, and L^2 u one column per entry of L u, so
+        # the columns read count the products.
         g = SignedGraph.all_even(4, [(1, 4), (2, 3)])
         sign = 1 if parity == ODD else -1
-        y1 = _laplacian_times(g, {1: 1, 2: sign})
-        assert _laplacian_times(g, y1) == {x: 2 * c for x, c in y1.items()}
+        lap = np.array(signed_laplacian(g))
+        u = np.array([1, sign, 0, 0])
+        assert (lap @ lap @ u == 2 * (lap @ u)).all()
         p = faddeev_leverrier(signed_laplacian(g))
         after = faddeev_leverrier(signed_laplacian(g.add_edge(1, 2, parity)))
         assert polynomial_verdict(p, after) == (NONE, None, None, None)
-        products = []
 
-        def counted(g, y):
-            products.append(y)
-            return _laplacian_times(g, y)
+        def columns_read(graph):
+            reads = []
 
-        monkeypatch.setattr(spectra, "_laplacian_times", counted)
+            class Columns(list):
+                def __getitem__(self, j):
+                    reads.append(j)
+                    return super().__getitem__(j)
+
+            w, bias, columns = graph._packed
+            vars(graph)["_packed"] = w, bias, Columns(columns)
+            return reads
+
+        reads = columns_read(g)
         assert siv_oracle(g, 1, 2, parity).params == (NONE, None, None, None)
-        assert len(products) == 1
-        # a type-2 plane passes entry i and forms L^2 u as well
-        products.clear()
-        assert siv_oracle(SignedGraph.of(3, [(1, 2, EVEN)]), 1, 3, EVEN).kind == TYPE2
-        assert len(products) == 2
+        assert reads == [1, 2]  # L u alone
+        # a type-2 plane passes entry i and forms L^2 u once: after the
+        # columns of v and w, no column is read twice
+        h = SignedGraph.of(3, [(1, 2, EVEN)])
+        reads = columns_read(h)
+        assert siv_oracle(h, 1, 3, EVEN).kind == TYPE2
+        assert reads[:2] == [1, 3] and 1 in reads[2:]
+        assert len(reads[2:]) == len(set(reads[2:]))
 
     def test_adjacent_pair_rejected(self):
         with pytest.raises(ValueError):
