@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import EVEN, ODD, Edge, SignedGraph, _check_pairs, edge
+from .graphs import EVEN, ODD, Edge, SignedGraph, _check_pairs, _masks, edge
 from .polynomials import IntPoly, _div_coeffs, _mul_coeffs
 from .spectra import (
     NONE,
@@ -321,11 +321,7 @@ def _target_char_poly(t: SignedComplete, x_edges: Iterable[Edge]) -> IntPoly:
 
 def _closed_masks(n: int, m: Iterable[Edge]) -> list[int]:
     """closed[v] = {v} + N_M(v) as a bitmask (bit x is vertex x), v in 1..n."""
-    closed = [1 << v for v in range(n + 1)]
-    for u, v in m:
-        closed[u] |= 1 << v
-        closed[v] |= 1 << u
-    return closed
+    return [mask | 1 << v for v, mask in enumerate(_masks(n, m))]
 
 
 def _nested_at(closed: list[int], x: int) -> bool:

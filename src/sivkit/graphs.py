@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 
@@ -36,6 +36,21 @@ def _check_pairs(n: int, pairs: Iterable[Edge]) -> None:
     for u, v in pairs:
         if not (1 <= u < v <= n):
             raise ValueError(f"pair ({u},{v}) is not a canonical pair in range 1..{n}")
+
+
+def _masks(n: int, pairs: Iterable[Edge]) -> list[int]:
+    """Entry v is the bitmask of v's neighbours over these pairs (bit x is
+    vertex x), v in 0..n; entry 0 is 0."""
+    masks = [0] * (n + 1)
+    for u, v in pairs:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
 @dataclass(frozen=True)
@@ -84,29 +99,12 @@ class SignedGraph:
         return range(1, self.n + 1)
 
     @cached_property
-    def _adj(self) -> dict[int, dict[int, bool]]:
-        adj: dict[int, dict[int, bool]] = {v: {} for v in self.vertices}
-        for u, v in self.edges:
-            is_odd = (u, v) in self.odd
-            adj[u][v] = is_odd
-            adj[v][u] = is_odd
-        return adj
-
-    @cached_property
     def _bits(self) -> tuple[list[int], list[int]]:
         """(neighbours, odd): entry v of each list is a bitmask over the
         vertices, bit x set when x is a neighbour of v, or an odd neighbour.
         Entry 0 is 0.  The lists are shared with graphs made by add_edge, so
-        they must not be mutated."""
-        nbr = [0] * (self.n + 1)
-        odd = [0] * (self.n + 1)
-        for u, v in self.edges:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        for u, v in self.odd:
-            odd[u] |= 1 << v
-            odd[v] |= 1 << u
-        return nbr, odd
+        they must not be mutated.  Every neighbour accessor reads them."""
+        return _masks(self.n, self.edges), _masks(self.n, self.odd)
 
     @cached_property
     def _packed(self) -> tuple[int, int, list[int]]:
@@ -142,22 +140,24 @@ class SignedGraph:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
 
-    def adjacency(self, v: int) -> Mapping[int, bool]:
-        """Neighbors of v mapped to True when the joining edge is odd.
-
-        The mapping is shared with this graph, and with graphs made from it
-        by add_edge, so it is typed read-only and must not be mutated."""
+    def adjacency(self, v: int) -> dict[int, bool]:
+        """Neighbors of v in ascending order, mapped to True when the joining
+        edge is odd; a fresh dict on every call."""
         self._check_vertex(v)
-        return self._adj[v]
+        nbr, odd = self._bits
+        return {x: bool(odd[v] >> x & 1) for x in _members(nbr[v])}
 
     def neighbors(self, v: int) -> set[int]:
-        return set(self.adjacency(v))
+        self._check_vertex(v)
+        return set(_members(self._bits[0][v]))
 
     def odd_neighbors(self, v: int) -> set[int]:
-        return {u for u, is_odd in self.adjacency(v).items() if is_odd}
+        self._check_vertex(v)
+        return set(_members(self._bits[1][v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency(v))
+        self._check_vertex(v)
+        return self._bits[0][v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -175,9 +175,9 @@ class SignedGraph:
     def add_edge(self, u: int, v: int, parity: str) -> SignedGraph:
         """This graph plus the edge uv of the given parity.
 
-        Each of _adj, _bits and _packed that this graph has built is carried
-        to the child with entries u and v updated and the rest shared; the
-        child builds any other from scratch when it is first read.
+        Each of _bits and _packed that this graph has built is carried to
+        the child with entries u and v updated and the rest shared; the
+        child builds the other from scratch when it is first read.
         """
         _check_parity(parity)
         e = edge(u, v)
@@ -186,11 +186,6 @@ class SignedGraph:
         is_odd = parity == ODD
         child = SignedGraph(self.n, self.edges | {e}, self.odd | {e} if is_odd else self.odd)
         built, carried = vars(self), vars(child)  # writing to vars fills a cached property
-        if "_adj" in built:
-            adj = dict(built["_adj"])
-            adj[u] = {**adj[u], v: is_odd}
-            adj[v] = {**adj[v], u: is_odd}
-            carried["_adj"] = adj
         if "_bits" in built:
             nbr, odd = built["_bits"]
             nbr = nbr.copy()
@@ -240,6 +235,7 @@ def _spanning_forest(g: SignedGraph) -> dict[int, int]:
     Depends only on the underlying graph, so equal underlying graphs get
     identical forests.
     """
+    nbr = g._bits[0]
     parent: dict[int, int] = {}
     seen: set[int] = set()
     for root in g.vertices:
@@ -249,7 +245,7 @@ def _spanning_forest(g: SignedGraph) -> dict[int, int]:
         stack = [root]
         while stack:
             u = stack.pop()
-            for x in sorted(g.adjacency(u), reverse=True):
+            for x in reversed(_members(nbr[u])):
                 if x not in seen:
                     seen.add(x)
                     parent[x] = u
@@ -333,21 +329,16 @@ def _laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
     """L y for g's signed Laplacian L, with y and the result given by their
     nonzero entries (vertex -> value).  Each entry y_j adds column j of L:
     deg(j) y_j at j, and -y_j or +y_j at each even or odd neighbour of j,
-    summed into a list indexed by vertex.  So the product costs n plus the
-    degrees summed over y's support, and no row of L is built.  The keys of
-    y must be vertices of g.  Unlike the oracle's products on g._packed, the
-    entries of y and of L y are unbounded: the type-2 certificate check
-    reads it."""
-    adj = g._adj
+    summed into a list indexed by vertex, with j's neighbours read off
+    g._bits.  So no row of L is built.  The keys of y must be vertices of g.
+    Unlike the oracle's products on g._packed, the entries of y and of L y
+    are unbounded: the type-2 certificate check reads it."""
+    nbr, odd = g._bits
     out = [0] * (g.n + 1)
     for j, c in y.items():
-        row = adj[j]
-        out[j] += len(row) * c
-        for x, is_odd in row.items():
-            if is_odd:
-                out[x] += c
-            else:
-                out[x] -= c
+        out[j] += nbr[j].bit_count() * c
+        for x in _members(nbr[j]):
+            out[x] += c if odd[j] >> x & 1 else -c
     return {x: c for x, c in enumerate(out) if c}
 
 

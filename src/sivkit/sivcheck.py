@@ -67,11 +67,11 @@ def check_type2(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     single-eigenvalue kind.
 
     The centered form is never built.  Switching at (N(w) - N(v)) + {w}
-    (odd addition, pi = 1) and then centering is a single switching, whose
-    side is 0 at v, pi at w, the v-edge parity on N(v), the w-edge parity
-    xor pi on N(w) - N(v) and 0 elsewhere; the centered parity of an edge ux
-    is its parity xor side(u) xor side(x).  Row combinations weigh block A
-    by 1, B by -1, D by 2 and the rest by 0.
+    (odd addition, pi = 1) and then centering is a single switching.  The
+    conditions read its side only at blocks A-E, where it is the v-edge
+    parity on N(v), the w-edge parity xor pi on N(w) - N(v) and 0 on E; the
+    centered parity of an edge ux is its parity xor side(u) xor side(x).
+    Row combinations weigh block A by 1, B by -1, D by 2 and the rest by 0.
     """
     _check_parity(parity)
     _check_pair(g, v, w)
@@ -82,12 +82,13 @@ def _type2(g: SignedGraph, v: int, w: int, pi: bool) -> SivVerdict:
     """check_type2 on a checked pair, pi true for an odd addition, on the
     masks of g._bits.
 
-    Blocks A-E and the switching side are masks.  Row u of the centered
-    form has its odd edges at the neighbours x with odd(ux) ^ side(u) ^
-    side(x); of the neighbours k in A, B and D, those that add their weight
-    with a plus sign (an odd edge into A or D, an even one into B) form pos,
-    so the row combination is weight(u) deg(u) + (2|pos| - |k|) +
-    (2|pos & D| - |k & D|), with D's weight 2.
+    Blocks A-E and the switching side are masks; side covers the blocks
+    only, since every u and x it is read at lies in one.  Row u of the
+    centered form has its odd edges at the neighbours x with odd(ux) ^
+    side(u) ^ side(x); of the neighbours k in A, B and D, those that add
+    their weight with a plus sign (an odd edge into A or D, an even one
+    into B) form pos, so the row combination is weight(u) deg(u) +
+    (2|pos| - |k|) + (2|pos & D| - |k & D|), with D's weight 2.
 
     The six conditions go into a mask of the failed ones, bit k for the k-th
     of _CONDITION_NAMES, and a failing mask returns its prebuilt none verdict
@@ -102,12 +103,13 @@ def _type2(g: SignedGraph, v: int, w: int, pi: bool) -> SivVerdict:
     d_block = common & (odd[v] ^ odd[w] ^ (common if pi else 0))
     c_block = common ^ d_block
     e_block = ((1 << g.n + 1) - 2) & ~(nv | nw | 1 << v | 1 << w)
-    side = odd[v] | (odd[w] & b_block) ^ (b_block if pi else 0) | pi << w
+    side = odd[v] | (odd[w] & b_block) ^ (b_block if pi else 0)
     weighted = a_block | b_block | d_block
     plus_side = side ^ b_block  # an edge into B adds its weight when even
     d1, d2 = nv.bit_count(), nw.bit_count()
     d = d_block.bit_count()
-    failed = (a_block.bit_count() + b_block.bit_count() + 4 * d <= 0) << 5
+    # a, b and d count A, B and D, so a + b + 4d > 0 exactly when A | B | D is non-empty
+    failed = (not weighted) << 5
     blocks = (
         (1, a_block, 1, d2 + 1),
         (2, b_block, -1, -(d1 + 1)),

@@ -331,6 +331,7 @@ def _krylov_factor(g: SignedGraph, v: int, w: int, parity: str) -> tuple[int, ..
     if y1 == dv * u:
         return (-dv, 1)
     rest = y1 - dv * at_v - sign * dw * at_w  # y1 without entries v and w
+    # cannot hold: rest = 0 means N(v) = N(w), so y1 = d_v u returned above (i would be -1)
     if not rest:
         return None
     i = ((rest & -rest).bit_length() - 1) // width

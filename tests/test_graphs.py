@@ -70,6 +70,37 @@ class TestSignedGraph:
         with pytest.raises(ValueError):
             g.degree(9)
 
+    @pytest.mark.parametrize("accessor", ["adjacency", "neighbors", "odd_neighbors", "degree"])
+    @pytest.mark.parametrize("v", [0, -1, 5])
+    def test_accessors_refuse_a_vertex_outside_the_graph(self, accessor, v):
+        # the masks have an entry 0, and index -1 reads entry n
+        g = SignedGraph.of(4, [(1, 2, ODD), (2, 3, EVEN), (3, 4, ODD)])
+        with pytest.raises(ValueError, match=re.escape(f"vertex {v} out of range 1..4")):
+            getattr(g, accessor)(v)
+
+    def test_mutating_an_answer_leaves_the_graph_unchanged(self):
+        g = SignedGraph.of(4, [(1, 2, ODD), (2, 3, EVEN)])
+        child = g.add_edge(3, 4, EVEN)
+        g.adjacency(2)[4] = True
+        del g.adjacency(2)[1]
+        g.neighbors(2).add(4)
+        g.odd_neighbors(2).clear()
+        for h in (g, child):
+            assert h.adjacency(2) == {1: True, 3: False}
+            assert h.neighbors(2) == {1, 3} and h.odd_neighbors(2) == {1}
+            assert h.degree(2) == 2
+
+    def test_accessors_match_the_edge_sets(self):
+        for n in range(1, MAX_VERTICES + 1):
+            for g in random_graphs(n, 3, n, 0.1 + 0.8 * (n % 5) / 4):
+                for v in g.vertices:
+                    nbrs = {x for e in g.edges if v in e for x in e if x != v}
+                    odd = {x for e in g.odd if v in e for x in e if x != v}
+                    assert g.neighbors(v) == nbrs and g.odd_neighbors(v) == odd, (g, v)
+                    assert g.degree(v) == len(nbrs), (g, v)
+                    # ascending keys
+                    assert list(g.adjacency(v).items()) == [(x, x in odd) for x in sorted(nbrs)]
+
     def test_add_remove(self):
         g = k2()
         with pytest.raises(ValueError):
@@ -86,7 +117,7 @@ class TestSignedGraph:
         g, u, v, parity = case
         before = {x: dict(g.adjacency(x)) for x in g.vertices}
         child = g.add_edge(u, v, parity)
-        # the parent's adjacency, whose unchanged rows the child shares
+        # the parent answers as it did before the addition
         assert {x: g.adjacency(x) for x in g.vertices} == before
         odd = g.odd | {(u, v)} if parity == ODD else g.odd
         scratch = SignedGraph(g.n, g.edges | {(u, v)}, odd)
@@ -122,9 +153,8 @@ class TestSignedGraph:
 
 
     def test_the_library_never_writes_an_adjacency_row(self, monkeypatch):
-        # add_edge shares the unchanged rows between parent and child, so a
-        # write through one graph would change others.  Serve every row
-        # read-only while the library's readers of adjacency run.
+        # the library's readers of adjacency only read it: serve every row
+        # read-only while they run.
         adjacency = SignedGraph.adjacency
         monkeypatch.setattr(
             SignedGraph, "adjacency", lambda self, v: MappingProxyType(adjacency(self, v))
@@ -424,19 +454,18 @@ class TestEncodings:
             steps = plan_completion(g, target).steps
             assert len(steps) == n // 2
             for step in steps:
-                for name in ("_adj", "_bits", "_packed"):
+                for name in ("_bits", "_packed"):
                     getattr(g, name)  # built, so add_edge carries it
                 g = g.add_edge(*step.edge, step.parity)
-                assert {"_adj", "_bits", "_packed"} <= vars(g).keys()
+                assert {"_bits", "_packed"} <= vars(g).keys()
                 scratch = fresh(g)
                 assert g._bits == scratch._bits, (g, step)
                 assert g._packed == scratch._packed, (g, step)
-                assert g._adj == scratch._adj, (g, step)
 
     def test_child_of_a_parent_without_them_builds_them_lazily(self):
         parent = SignedGraph.of(5, [(1, 2, ODD), (2, 3, EVEN), (4, 5, EVEN)])
         child = parent.add_edge(1, 3, ODD)
-        assert not {"_adj", "_bits", "_packed"} & (vars(parent).keys() | vars(child).keys())
+        assert not {"_bits", "_packed"} & (vars(parent).keys() | vars(child).keys())
         assert classify(child, 1, 4, EVEN) == classify(fresh(child), 1, 4, EVEN)
         assert siv_oracle(child, 1, 4, EVEN) == siv_oracle(fresh(child), 1, 4, EVEN)
         assert child._bits == fresh(child)._bits and child._packed == fresh(child)._packed
