@@ -9,7 +9,7 @@ from typing import Iterator
 
 from .graphs import EVEN, ODD, Edge, SignedGraph
 from .sivcheck import classify
-from .spectra import SivVerdict, _rechecked_verdicts
+from .spectra import NONE, SivVerdict, _divided, laplacian_char_poly, siv_oracle
 
 
 def all_pairs(n: int) -> list[Edge]:
@@ -45,10 +45,17 @@ def random_signed_graph(
 def cross_check(g: SignedGraph) -> list[tuple[int, int, str, SivVerdict, SivVerdict]]:
     """Every edge addition to g, as (v, w, parity, classify's verdict,
     siv_oracle's verdict): each non-adjacent pair, even before odd.  Each
-    positive oracle verdict is re-checked against g's polynomial, which is
-    formed only for a graph with a positive verdict."""
-    additions = [(v, w, parity) for v, w in g.non_adjacent_pairs() for parity in (EVEN, ODD)]
-    return [
-        (v, w, parity, classify(g, v, w, parity), oracle)
-        for (v, w, parity), oracle in zip(additions, _rechecked_verdicts(g, additions))
-    ]
+    positive oracle verdict is re-checked by _divided alone against g's
+    polynomial, formed at the first one, so a graph with none forms no
+    polynomial and no polynomial after an addition is formed."""
+    out = []
+    p = None
+    for v, w in g.non_adjacent_pairs():
+        for parity in (EVEN, ODD):
+            oracle = siv_oracle(g, v, w, parity)
+            if oracle.kind != NONE:
+                if p is None:
+                    p = laplacian_char_poly(g)
+                _divided(p, oracle)
+            out.append((v, w, parity, classify(g, v, w, parity), oracle))
+    return out

@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, index, lshift, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .graphs import ODD, SignedGraph, _check_pair, _check_parity
 from .polynomials import IntPoly, _div_coeffs, _mul_coeffs
@@ -301,11 +301,11 @@ def polynomial_after(p: IntPoly, verdict: SivVerdict) -> IntPoly:
     return IntPoly(_mul_coeffs(quotient, h))
 
 
-def _krylov_factor(g: SignedGraph, v: int, w: int, parity: str) -> tuple[int, ...] | None:
-    """m, ascending, the monic polynomial of least degree with m(L) u = 0,
-    when u spans an L-invariant line, or a plane whose relation
-    L^2 u = a L u + b u has a = d_v + d_w + 1; None for any other u.  m is
-    x - lam on a line and x^2 - a x - b on a plane.
+def _krylov_verdict(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
+    """The verdict read off u's Krylov space: type 1 with lam = d_v when u
+    spans an L-invariant line (L u = d_v u), type 2 with s = a and p = -b
+    when u spans a plane whose relation L^2 u = a L u + b u has
+    a = d_v + d_w + 1, and the shared _NO_SHIFT for any other u.
 
     Vectors are packed integers on g._packed, so y1 = L u is the sum of
     columns v and w, and u spans a line exactly when y1 = d_v u (entry v
@@ -329,11 +329,11 @@ def _krylov_factor(g: SignedGraph, v: int, w: int, parity: str) -> tuple[int, ..
         sign, y1, u = -1, columns[v] - columns[w], at_v - at_w
     dv, dw = nbr[v].bit_count(), nbr[w].bit_count()
     if y1 == dv * u:
-        return (-dv, 1)
+        return SivVerdict(TYPE1, lam=dv)
     rest = y1 - dv * at_v - sign * dw * at_w  # y1 without entries v and w
     # cannot hold: rest = 0 means N(v) = N(w), so y1 = d_v u returned above (i would be -1)
     if not rest:
-        return None
+        return _NO_SHIFT
     i = ((rest & -rest).bit_length() - 1) // width
     # the slots below i are 0, so slot i is the low width bits of rest >> i*width
     y1_i = ((rest >> i * width) + half & mask) - half
@@ -347,7 +347,7 @@ def _krylov_factor(g: SignedGraph, v: int, w: int, parity: str) -> tuple[int, ..
         at_i += c if odd_i & low else -c
     a = dv + dw + 1
     if at_i != a * y1_i:
-        return None
+        return _NO_SHIFT
     y2 = 0
     support = nbr[v] | nbr[w] | 1 << v | 1 << w
     while support:
@@ -357,8 +357,8 @@ def _krylov_factor(g: SignedGraph, v: int, w: int, parity: str) -> tuple[int, ..
         y2 += ((biased >> j * width & mask) - half) * columns[j]
     b = ((y2 + bias) >> v * width & mask) - half - a * dv
     if y2 != a * y1 + b * u:
-        return None
-    return (-b, -a, 1)
+        return _NO_SHIFT
+    return SivVerdict(TYPE2, s=a, p=-b)
 
 
 def siv_oracle(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
@@ -385,7 +385,7 @@ def siv_oracle(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
         pair has sum s = a and product rho = -b.
 
     So a is known from the degrees before the plane is sought:
-    _krylov_factor tests it at one entry of L^2 u before forming L^2 u, and
+    _krylov_verdict tests it at one entry of L^2 u before forming L^2 u, and
     returns a plane only with this a.  No polynomial is formed.  Callers
     that hold p re-check a positive verdict with polynomial_after (or its
     division alone, _divided) or verify_shift_identity.  Every none is the
@@ -393,28 +393,4 @@ def siv_oracle(g: SignedGraph, v: int, w: int, parity: str) -> SivVerdict:
     """
     _check_parity(parity)
     _check_pair(g, v, w)
-    m = _krylov_factor(g, v, w, parity)
-    if m is None:
-        return _NO_SHIFT
-    if len(m) == 2:
-        return SivVerdict(TYPE1, lam=-m[0])
-    return SivVerdict(TYPE2, s=-m[1], p=m[0])
-
-
-def _rechecked_verdicts(
-    g: SignedGraph, additions: Iterable[tuple[int, int, str]]
-) -> Iterator[SivVerdict]:
-    """siv_oracle's verdict on each addition (v, w, parity) to g, in order.
-    Each positive verdict is re-checked against g's polynomial, formed once
-    at the first positive verdict (a graph with no positive verdict forms
-    none), by _divided alone: a factor that does not divide it raises
-    ArithmeticError, and the polynomial after the addition, which nothing
-    here reads, is never formed."""
-    p = None
-    for v, w, parity in additions:
-        verdict = siv_oracle(g, v, w, parity)
-        if verdict.kind != NONE:
-            if p is None:
-                p = laplacian_char_poly(g)
-            _divided(p, verdict)
-        yield verdict
+    return _krylov_verdict(g, v, w, parity)

@@ -26,8 +26,7 @@ from operator import index, mul
 from hypothesis import strategies as st
 
 from sivkit import EVEN, ODD, IntPoly, SignedComplete, SignedGraph, SivVerdict
-from sivkit.enumeration import all_pairs, iter_subsets
-from sivkit.spectra import _rechecked_verdicts
+from sivkit.enumeration import all_pairs, cross_check, iter_subsets
 
 MAX_SEARCH_EXAMPLES = 120
 
@@ -130,8 +129,10 @@ def brute_force_completable(
 
     States are memoized by their edge set (signs are pinned by the target).
     A memo table may be shared across calls with the same target.  Each
-    state's verdicts come from the library's sweep helper, which re-checks
-    the positive ones against the state's polynomial.
+    state's verdicts come from the library's sweep, cross_check, which
+    re-checks the positive ones against the state's polynomial; the steps
+    are its additions with the target's parity and a positive oracle
+    verdict.
     """
     if g.n != target.n:
         raise ValueError("vertex counts differ")
@@ -150,9 +151,11 @@ def brute_force_completable(
         if known is not None:
             return known
         state = SignedGraph(n, edges, odd & edges)
-        missing = sorted(full - edges)
-        verdicts = _rechecked_verdicts(state, [(*e, ODD if e in odd else EVEN) for e in missing])
-        steps = [e for e, verdict in zip(missing, verdicts) if verdict.kind != "none"]
+        steps = [
+            (v, w)
+            for v, w, parity, _, oracle in cross_check(state)
+            if parity == (ODD if (v, w) in odd else EVEN) and oracle.kind != "none"
+        ]
         result = any(reach(edges | {e}) for e in steps)
         memo[edges] = result
         return result

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import sivkit
 from sivkit import EVEN, ODD, SignedComplete, SignedGraph, SivVerdict, dumps_sg, dumps_sk, switch_at
-from sivkit import cli, completion, spectra
+from sivkit import cli, completion, enumeration, spectra
 from sivkit.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from sivkit.enumeration import cross_check, iter_signed_graphs
 from sivkit.fileio import MAX_VERTICES
@@ -77,6 +77,18 @@ class TestSpectrum:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["spectrum", str(tmp_path / "nope.sg")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command, name, text",
+        [("spectrum", "bad.sg", "n 3\ne a 2 +\n"), ("xy", "bad.sk", "n 3\nodd a 2\n")],
+    )
+    def test_non_integer_vertex_exits_1(self, tmp_path, capsys, command, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main([command, str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: bad vertex pair 'a' '2'\n"
+
     def test_switched_k16(self, tmp_path, capsys):
         # p = x (x - 16)^15: dividing up to sqrt(16^15) would take 2^30 steps
         path = write_sg(tmp_path, "k16.sg", switch_at(SignedGraph.complete(16), {1, 4, 5, 9, 16}))
@@ -114,6 +126,16 @@ class TestCheckSiv:
 
     def test_adjacent_pair_is_usage_error(self, k3_file, capsys):
         assert main(["check-siv", k3_file, "1", "2"]) == EXIT_USAGE
+
+    def test_disagreement_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the oracle finds type 1 on the path's ends; a classifier that says
+        # none is a violated property, not a refused input
+        monkeypatch.setattr(cli, "classify", lambda *args: SivVerdict("none"))
+        path = write_sg(tmp_path, "p3.sg", SignedGraph.all_even(3, [(1, 2), (2, 3)]))
+        assert main(["check-siv", path, "1", "3", "--parity", "even"]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.out == '{"kind": "none", "oracle": "disagree"}\n'
+        assert captured.err == ""
 
 
 class TestXY:
@@ -386,6 +408,10 @@ class TestVertexCap:
         assert json.loads(capsys.readouterr().out)["mismatches"] == 0
         assert main(args + [str(MAX_VERTICES + 1)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: n-limit must be at most {MAX_VERTICES}\n"
+        assert main(["enumerate", "--samples", "3", "--n-limit", "0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n-limit must be at least 1\n"
 
 
 class TestUsageErrors:
@@ -480,7 +506,7 @@ class TestEnumerate:
         }
         polys = []
         products = []
-        laplacian_char_poly = spectra.laplacian_char_poly
+        laplacian_char_poly = enumeration.laplacian_char_poly
         mul_coeffs = spectra._mul_coeffs
 
         def counting(g):
@@ -491,7 +517,7 @@ class TestEnumerate:
             products.append(args)
             return mul_coeffs(*args)
 
-        monkeypatch.setattr(spectra, "laplacian_char_poly", counting)
+        monkeypatch.setattr(enumeration, "laplacian_char_poly", counting)
         monkeypatch.setattr(spectra, "_mul_coeffs", counting_products)
         assert main(["enumerate", "--n-limit", "4", "--json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["mismatches"] == 0
@@ -504,19 +530,42 @@ class TestEnumerate:
         # one positive oracle verdict whose lam is no eigenvalue of its
         # graph: x - lam does not divide g's polynomial, an internal
         # invariant failure (exit 2)
-        oracle = spectra.siv_oracle
+        oracle = enumeration.siv_oracle
         calls = []
 
         def one_false_verdict(*args):
             calls.append(args)
             return SivVerdict("type1", lam=100) if len(calls) == 5 else oracle(*args)
 
-        monkeypatch.setattr(spectra, "siv_oracle", one_false_verdict)
+        monkeypatch.setattr(enumeration, "siv_oracle", one_false_verdict)
         assert main(["enumerate", "--n-limit", "3"]) == EXIT_VIOLATION
         captured = capsys.readouterr()
         assert len(calls) == 5
         assert captured.out == ""
         assert captured.err == "error: the type1 verdict's factor does not divide the polynomial\n"
+
+    def test_a_disagreement_exits_2(self, capsys, monkeypatch):
+        # a classifier wrong on one addition, the even 12 to the empty graph,
+        # is counted as one mismatch in both output forms
+        classify = enumeration.classify
+
+        def wrong_once(g, v, w, parity):
+            if not g.edges and (v, w, parity) == (1, 2, EVEN):
+                return SivVerdict("none")
+            return classify(g, v, w, parity)
+
+        assert main(["enumerate", "--n-limit", "3", "--json"]) == EXIT_OK
+        agreed = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(enumeration, "classify", wrong_once)
+        assert main(["enumerate", "--n-limit", "3", "--json"]) == EXIT_VIOLATION
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mismatches"] == 1
+        assert payload["instances"] == agreed["instances"]
+        assert (payload["type1"], payload["none"]) == (agreed["type1"] - 1, agreed["none"] + 1)
+        assert main(["enumerate", "--n-limit", "3"]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert "mismatches=1" in captured.out
+        assert captured.err == ""
 
     def test_canonical_reduces_graph_count(self, capsys):
         main(["enumerate", "--n-limit", "3", "--json"])

@@ -27,7 +27,7 @@ from sivkit import (
     x_set,
     y_set,
 )
-from sivkit import completion, spectra
+from sivkit import completion, enumeration
 from sivkit.enumeration import all_pairs
 from sivkit.fileio import MAX_VERTICES
 from sivkit.spectra import polynomial_after
@@ -301,6 +301,11 @@ class TestSubstitutionSpectrum:
         lopsided = SignedGraph.of(3, [(1, 2, ODD), (2, 3, EVEN)])
         with pytest.raises(ValueError):
             substitution_spectrum(q, {1: lopsided, 2: ok})
+
+    def test_quotient_vertex_without_a_part_rejected(self):
+        q = SignedGraph.of(2, [(1, 2, EVEN)])
+        with pytest.raises(ValueError, match="every quotient vertex needs exactly one replacement graph"):
+            substitution_spectrum(q, {1: SignedGraph.complete(2)})
 
 
 class TestQuotientDecomposition:
@@ -707,32 +712,34 @@ class TestBruteForce:
             assert (plan_completion(g, t) is not None) == decided
 
     def test_one_polynomial_per_visited_state_with_a_step(self, monkeypatch):
-        # the search forms a state's polynomial to re-check its certified
-        # steps, once, and a state with no step forms no polynomial
+        # the search runs the sweep, which forms a state's polynomial to
+        # re-check its positive verdicts at either parity, once, and a state
+        # with no positive verdict forms no polynomial
         polys = []
 
         def counting(g):
             polys.append(g.edges)
             return laplacian_char_poly(g)
 
-        monkeypatch.setattr(spectra, "laplacian_char_poly", counting)
+        monkeypatch.setattr(enumeration, "laplacian_char_poly", counting)
         # not completable, so the search visits every state it can reach,
         # and each visited state gets a memo entry
         t = SignedComplete.of(5, [(1, 2)])
         memo: dict = {}
         assert not brute_force_completable(SignedGraph(5, frozenset(), frozenset()), t, memo)
         assert len(memo) > 100
-        with_step = {
+        with_positive = {
             edges
             for edges in memo
             if any(
-                siv_oracle(SignedGraph(5, edges, t.odd & edges), *e, t.parity(*e)).kind != "none"
+                siv_oracle(SignedGraph(5, edges, t.odd & edges), *e, parity).kind != "none"
                 for e in set(t.all_edges()) - edges
+                for parity in (EVEN, ODD)
             )
         }
         assert len(polys) == len(set(polys))
-        assert set(polys) == with_step
-        assert 0 < len(with_step) < len(memo)
+        assert set(polys) == with_positive
+        assert 0 < len(with_positive) < len(memo)
 
 
 def one_step_states(rng: random.Random, count: int) -> list[tuple[SignedGraph, SignedComplete]]:

@@ -1,7 +1,6 @@
 import random
 import re
 from itertools import combinations
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -12,10 +11,8 @@ from sivkit import (
     ODD,
     SignedComplete,
     SignedGraph,
-    build_type2_eigenvectors,
     classify,
     edge_quantities,
-    laplacian_char_poly,
     is_centered,
     make_centered,
     neighborhood_split,
@@ -25,7 +22,7 @@ from sivkit import (
     switching_equivalent,
     switching_normal_form,
 )
-from sivkit.enumeration import cross_check, iter_signed_graphs, iter_signings
+from sivkit.enumeration import iter_signed_graphs, iter_signings
 from sivkit.fileio import MAX_VERTICES
 from sivkit.graphs import _laplacian_times
 
@@ -56,6 +53,8 @@ class TestSignedGraph:
             SignedGraph.of(3, [(1, 2, EVEN), (2, 1, ODD)])  # duplicate
         with pytest.raises(ValueError):
             SignedGraph.of(3, [(2, 2, EVEN)])  # loop
+        with pytest.raises(ValueError, match="vertex count must be at least 1"):
+            SignedComplete(0, ())
 
     def test_accessors(self):
         g = SignedGraph.of(4, [(1, 2, ODD), (2, 3, EVEN)])
@@ -89,6 +88,9 @@ class TestSignedGraph:
             assert h.adjacency(2) == {1: True, 3: False}
             assert h.neighbors(2) == {1, 3} and h.odd_neighbors(2) == {1}
             assert h.degree(2) == 2
+        # every call answers with a fresh dict, so no reader, the library
+        # included, can write a graph's row through an answer
+        assert g.adjacency(2) is not g.adjacency(2)
 
     def test_accessors_match_the_edge_sets(self):
         for n in range(1, MAX_VERTICES + 1):
@@ -150,33 +152,6 @@ class TestSignedGraph:
         g = SignedGraph.of(4, [(1, 2, ODD), (2, 3, EVEN)])
         with pytest.raises(ValueError, match=re.escape(message)):
             g.add_edge(u, v, parity)
-
-
-    def test_the_library_never_writes_an_adjacency_row(self, monkeypatch):
-        # the library's readers of adjacency only read it: serve every row
-        # read-only while they run.
-        adjacency = SignedGraph.adjacency
-        monkeypatch.setattr(
-            SignedGraph, "adjacency", lambda self, v: MappingProxyType(adjacency(self, v))
-        )
-        for g in iter_signed_graphs(4):
-            cross_check(g)
-            switching_normal_form(g)
-            laplacian_char_poly(g)
-            for v, w in g.non_adjacent_pairs():
-                edge_quantities(g, v, w)
-                centered, _ = make_centered(g, v, w)
-                for parity in (EVEN, ODD):
-                    assert siv_oracle(g, v, w, parity).kind == classify(g, v, w, parity).kind
-                    verdict = classify(centered, v, w, parity)
-                    if verdict.kind == "type2":
-                        build_type2_eigenvectors(centered, v, w, verdict)
-        plan_completion(SignedGraph(7, frozenset(), frozenset()), SignedComplete.of(7))
-        # a target whose balanced all-odd edge (1, 2) is missing: a type-2 step
-        odd = [(2, u) for u in range(3, 8)] + [(3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]
-        t = SignedComplete.of(7, odd)
-        plan = plan_completion(SignedGraph.complete(t.n, t.odd).remove_edge(1, 2), t)
-        assert [s.verdict.kind for s in plan.steps] == ["type2"]
 
 
 class TestSwitchAt:
@@ -298,6 +273,13 @@ class TestMakeCentered:
     def test_adjacent_pair_rejected(self):
         with pytest.raises(ValueError):
             make_centered(k2(), 1, 2)
+
+    def test_is_centered_needs_two_non_adjacent_vertices(self):
+        # a pair that is no addition is never centered, even where every
+        # edge is even
+        assert is_centered(SignedGraph.all_even(3, [(2, 3)]), 1, 3)
+        assert not is_centered(SignedGraph.all_even(3, [(2, 3)]), 1, 1)
+        assert not is_centered(k2(), 1, 2)
 
     def test_exhaustive_small_graphs(self):
         for g in iter_signed_graphs(4):

@@ -26,10 +26,11 @@ from sivkit.spectra import (
     NONE,
     TYPE1,
     TYPE2,
+    _NO_SHIFT,
     IntegerSpectrum,
     _divisors,
     _iroot,
-    _krylov_factor,
+    _krylov_verdict,
     _root_bound,
     polynomial_after,
 )
@@ -508,24 +509,20 @@ class TestDerivedAdditionPolynomials:
                 assert siv_oracle(g, v, w, parity).params == polynomial_verdict(p, after), (g, v, w, parity)
 
     def test_krylov_route_matches_the_pass(self):
-        # The verdict follows _krylov_factor: a line is type 1, a plane
-        # (returned only with a = d_v + d_w + 1) is type 2, and anything
-        # else is none.  Against the verdict read off the polynomials of a
-        # Faddeev-LeVerrier pass on g and on g + vw, for every addition of
-        # the seeded graphs, plus dense graphs at the vertex cap, where the
-        # pass is checked on the first addition only.
+        # The verdict read off u's Krylov space (a line is type 1, a plane
+        # with a = d_v + d_w + 1 type 2, anything else none) against the
+        # verdict read off the polynomials of a Faddeev-LeVerrier pass on g
+        # and on g + vw, for every addition of the seeded graphs, plus dense
+        # graphs at the vertex cap, where the pass is checked on the first
+        # addition only.  Every kind occurs.
         graphs = [g for n in range(2, 13) for g in random_graphs(seed=100 + n, count=3, n=n, edge_prob=0.4)]
         graphs += list(random_graphs(seed=31, count=2, n=MAX_VERTICES, edge_prob=0.95))
-        routes = {"type1": 0, "type2": 0, "none": 0}
+        routes = {TYPE1: 0, TYPE2: 0, NONE: 0}
         for g in graphs:
             p = faddeev_leverrier(signed_laplacian(g))
             for i, (v, w, parity) in enumerate(_additions(g)):
                 params = siv_oracle(g, v, w, parity).params
-                m = _krylov_factor(g, v, w, parity)
-                route = "none" if m is None else f"type{len(m) - 1}"
-                routes[route] += 1
-                assert (route == "type1") == (params[0] == TYPE1), (g, v, w, parity)
-                assert (route == "type2") == (params[0] == TYPE2), (g, v, w, parity)
+                routes[params[0]] += 1
                 if g.n < MAX_VERTICES or i == 0:
                     after = faddeev_leverrier(signed_laplacian(g.add_edge(v, w, parity)))
                     assert params == polynomial_verdict(p, after), (g, v, w, parity)
@@ -540,7 +537,7 @@ class TestDerivedAdditionPolynomials:
             for g in iter_signed_graphs(n)
             for v, w, parity, _, oracle in cross_check(g)
         ]
-        unfactored = [d for d in swept if _krylov_factor(*d[:4]) is None]
+        unfactored = [d for d in swept if _krylov_verdict(*d[:4]) is _NO_SHIFT]
         assert unfactored and all(d[4].kind == NONE for d in unfactored)
         for name in ("laplacian_char_poly", "char_poly"):
             monkeypatch.setattr(spectra, name, None)  # a call raises TypeError
@@ -559,11 +556,12 @@ class TestDerivedAdditionPolynomials:
     def test_polynomial_the_krylov_factor_does_not_divide_raises(self, g, v, w, parity, dimension):
         # Re-checking a verdict against a polynomial its factor does not
         # divide is an internal invariant failure (exit 2), not a refused
-        # input.  x^n is divisible by no monic m with a nonzero root.
-        m = _krylov_factor(g, v, w, parity)
-        assert len(m) - 1 == dimension and any(m[:-1])
-        verdict = siv_oracle(g, v, w, parity)
-        assert verdict.kind != NONE
+        # input.  x^n is divisible by no monic factor with a nonzero root:
+        # x - lam with lam != 0, or x^2 - s x + p with s or p nonzero.
+        verdict = _krylov_verdict(g, v, w, parity)
+        assert verdict.kind == (TYPE1, TYPE2)[dimension - 1]
+        assert verdict.lam if dimension == 1 else verdict.s or verdict.p
+        assert siv_oracle(g, v, w, parity) == verdict
         with pytest.raises(ArithmeticError):
             polynomial_after(IntPoly((0,) * g.n + (1,)), verdict)
 
@@ -604,6 +602,21 @@ class TestVerifyShiftIdentity:
     def test_none_verdict_rejected(self):
         with pytest.raises(ValueError):
             verify_shift_identity(IntPoly((0, 1)), IntPoly((0, 1)), SivVerdict("none"))
+
+    @pytest.mark.parametrize(
+        "verdict, message",
+        [
+            (SivVerdict("type1"), "type-1 verdict requires lam"),
+            (SivVerdict("type2", s=1), "type-2 verdict requires s and p"),
+            (SivVerdict("type3", lam=1), "unknown verdict kind 'type3'"),
+        ],
+    )
+    def test_verdict_without_its_parameters_rejected(self, verdict, message):
+        p = IntPoly((0, 0, 1))
+        with pytest.raises(ValueError, match=message):
+            verify_shift_identity(p, p, verdict)
+        with pytest.raises(ValueError, match=message):
+            polynomial_after(p, verdict)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
