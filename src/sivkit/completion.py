@@ -173,18 +173,13 @@ def _coupling_matrix(
 ) -> tuple[tuple[int, ...], ...]:
     """The k x k matrix by which a Laplacian acts on the vectors constant on
     each part, for a quotient on 1..k whose vertex i stands for a part of
-    sizes[i - 1] vertices: M_ii = diagonal[i - 1], and M_ij = s_j for an odd
+    sizes[i - 1] vertices: M_ii = diagonal[i - 1], and M_ij = L_ij s_j off
+    the diagonal, L the quotient's signed Laplacian, so s_j for an odd
     quotient pair ij, -s_j for an even one and 0 for no pair."""
-    rows = []
-    for i, d in enumerate(diagonal, 1):
-        adj = quotient.adjacency(i)
-        rows.append(
-            tuple(
-                d if j == i else 0 if j not in adj else s if adj[j] else -s
-                for j, s in enumerate(sizes, 1)
-            )
-        )
-    return tuple(rows)
+    return tuple(
+        tuple(d if j == i else entry * s for j, (entry, s) in enumerate(zip(row, sizes)))
+        for i, (row, d) in enumerate(zip(signed_laplacian(quotient), diagonal))
+    )
 
 
 @dataclass(frozen=True)
@@ -215,10 +210,11 @@ def substitution_spectrum(
     if set(parts) != set(quotient.vertices):
         raise ValueError("every quotient vertex needs exactly one replacement graph")
     order = list(quotient.vertices)
+    laplacians = [signed_laplacian(parts[q]) for q in order]
     lams = []
-    for q in order:
-        part = parts[q]
-        row_sums = {2 * len(part.odd_neighbors(u)) for u in part.vertices}
+    for q, lap in zip(order, laplacians):
+        # row u of L sums to twice the odd degree of u
+        row_sums = set(map(sum, lap))
         if len(row_sums) != 1:
             raise ValueError(
                 f"all-ones vector is not a Laplacian eigenvector of part {q}"
@@ -229,9 +225,9 @@ def substitution_spectrum(
     diagonal = [lam + mass for lam, mass in zip(lams, masses)]
     m_matrix = _coupling_matrix(quotient, sizes, diagonal)
     shifted = [1]
-    for q, mass, d in zip(order, masses, diagonal):
+    for lap, mass, d in zip(laplacians, masses, diagonal):
         # det(xI - L - mass I) is the part's polynomial p(x - mass)
-        rows = [list(row) for row in signed_laplacian(parts[q])]
+        rows = [list(row) for row in lap]
         for i, row in enumerate(rows):
             row[i] += mass
         shifted = _mul_coeffs(shifted, _div_coeffs(char_poly(rows).coeffs, (-d, 1)))
@@ -353,9 +349,13 @@ def is_plain_integrally_completable(n: int, edges: Iterable[Edge]) -> bool:
     """No four vertices induce a path or a perfect matching on two edges.
 
     Equivalently the complement M of the present edges has no induced P4 or
-    C4, which _nested decides.
+    C4, which _nested decides.  Like the graph constructors, refuses n < 1
+    and a pair outside 1..n.
     """
+    if n < 1:
+        raise ValueError("vertex count must be at least 1")
     present = {edge(u, v) for u, v in edges}
+    _check_pairs(n, present)
     return _nested(n, [e for e in combinations(range(1, n + 1), 2) if e not in present])
 
 

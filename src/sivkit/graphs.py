@@ -325,23 +325,6 @@ def _check_pair(g: SignedGraph, v: int, w: int) -> None:
         raise ValueError(f"vertices {v} and {w} are adjacent")
 
 
-def _laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
-    """L y for g's signed Laplacian L, with y and the result given by their
-    nonzero entries (vertex -> value).  Each entry y_j adds column j of L:
-    deg(j) y_j at j, and -y_j or +y_j at each even or odd neighbour of j,
-    summed into a list indexed by vertex, with j's neighbours read off
-    g._bits.  So no row of L is built.  The keys of y must be vertices of g.
-    Unlike the oracle's products on g._packed, the entries of y and of L y
-    are unbounded: the type-2 certificate check reads it."""
-    nbr, odd = g._bits
-    out = [0] * (g.n + 1)
-    for j, c in y.items():
-        out[j] += nbr[j].bit_count() * c
-        for x in _members(nbr[j]):
-            out[x] += c if odd[j] >> x & 1 else -c
-    return {x: c for x, c in enumerate(out) if c}
-
-
 def is_centered(g: SignedGraph, v: int, w: int) -> bool:
     """All v-edges even and every odd w-edge ends in a common neighbor."""
     if v == w or g.has_edge(v, w):

@@ -12,17 +12,17 @@ shifted pair's quadratic r^2 - s*r + p, which two integer identities check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .graphs import (
     EVEN,
     SignedGraph,
     _check_pair,
     _check_parity,
-    _laplacian_times,
     is_centered,
     neighborhood_split,
 )
-from .spectra import NONE, TYPE1, TYPE2, SivVerdict
+from .spectra import NONE, TYPE1, TYPE2, SivVerdict, signed_laplacian
 
 
 def _type1_degree(g: SignedGraph, v: int, w: int, pi: bool) -> int | None:
@@ -169,7 +169,8 @@ class Type2Certificate:
     y: tuple[int, ...]
 
     def residuals_are_zero(self, g: SignedGraph) -> bool:
-        """L*x == -p*y and L*y == x + s*y, with L*x and L*y from _laplacian_times.
+        """L*x == -p*y and L*y == x + s*y, row by row of signed_laplacian(g),
+        with x and y filled out to one entry per vertex of g.
 
         Refused unless order lists distinct vertices, x and y have one entry
         per vertex of order, and x and y are linearly independent: otherwise
@@ -187,12 +188,13 @@ class Type2Certificate:
         x0, y0 = next((c for c in columns if c != (0, 0)), (0, 0))
         if all(a * y0 == b * x0 for a, b in columns):
             return False
-        x, y = dict(zip(self.order, self.x)), dict(zip(self.order, self.y))
-        lx, ly = _laplacian_times(g, x), _laplacian_times(g, y)
+        x, y = [0] * g.n, [0] * g.n
+        for u, a, b in zip(self.order, self.x, self.y):
+            x[u - 1], y[u - 1] = a, b
         s, p = self.s, self.p
         return all(
-            lx.get(u, 0) == -p * y.get(u, 0) and ly.get(u, 0) == x.get(u, 0) + s * y.get(u, 0)
-            for u in g.vertices
+            sum(map(mul, row, x)) == -p * b and sum(map(mul, row, y)) == a + s * b
+            for row, a, b in zip(signed_laplacian(g), x, y)
         )
 
 

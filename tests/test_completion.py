@@ -455,6 +455,19 @@ class TestPlainCompletable:
             5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
         )
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, [(1, 5)], r"pair \(1,5\) is not a canonical pair in range 1..3"),
+            (0, [], "vertex count must be at least 1"),
+            (-2, [], "vertex count must be at least 1"),
+        ],
+        ids=["pair out of range", "no vertices", "negative count"],
+    )
+    def test_refuses_what_the_graph_constructors_refuse(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            is_plain_integrally_completable(n, edges)
+
     def test_embedded_obstruction(self):
         # P4 hiding inside a larger graph
         edges = [(1, 2), (2, 3), (3, 4), (5, 6)]

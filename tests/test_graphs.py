@@ -24,7 +24,6 @@ from sivkit import (
 )
 from sivkit.enumeration import iter_signed_graphs, iter_signings
 from sivkit.fileio import MAX_VERTICES
-from sivkit.graphs import _laplacian_times
 
 from conftest import (
     all_switch_sets,
@@ -382,33 +381,6 @@ def dense_laplacian(g: SignedGraph) -> list[list[int]]:
         lap[u][u] += 1
         lap[v][v] += 1
     return lap
-
-
-def dense_laplacian_times(g: SignedGraph, y: dict[int, int]) -> dict[int, int]:
-    """L y from the dense n x n signed Laplacian."""
-    lap = dense_laplacian(g)
-    out = {u: sum(lap[u][j] * c for j, c in y.items()) for u in g.vertices}
-    return {u: c for u, c in out.items() if c}
-
-
-class TestLaplacianTimes:
-    def test_against_the_dense_product(self):
-        rng = random.Random("laplacian-times")
-        for n in (1, 2, 4, 7, 13):
-            for g in random_graphs(n, 20, n):
-                for _ in range(5):
-                    support = rng.sample(list(g.vertices), rng.randint(1, n))
-                    y = {j: rng.randint(-3, 3) for j in support}
-                    assert _laplacian_times(g, y) == dense_laplacian_times(g, y), (g, y)
-
-    def test_entries_cancel_at_common_neighbours(self):
-        # 3 is an even neighbour of 1 and of 2, 4 an even neighbour of 1 and
-        # an odd one of 2: L(e1 - e2) is 0 at 3, and L(e1 + e2) is 0 at 4
-        g = SignedGraph.of(4, [(1, 3, EVEN), (2, 3, EVEN), (1, 4, EVEN), (2, 4, ODD)])
-        minus = {1: 1, 2: -1}
-        plus = {1: 1, 2: 1}
-        assert _laplacian_times(g, minus) == dense_laplacian_times(g, minus) == {1: 2, 2: -2, 4: -2}
-        assert _laplacian_times(g, plus) == dense_laplacian_times(g, plus) == {1: 2, 2: 2, 3: -2}
 
 
 def fresh(g: SignedGraph) -> SignedGraph:

@@ -197,10 +197,36 @@ class TestType2Eigenvectors:
         assert cert.residuals_are_zero(g)
 
     def test_vertex_outside_the_graph_refused(self):
+        # 0 and -1 too: filled into dense vectors, they would silently index
+        # the entries of the last vertices
         g, v, w = p2_plus_isolated()
         cert = build_type2_eigenvectors(g, v, w, check_type2(g, v, w, EVEN))
-        with pytest.raises(ValueError, match="out of range"):
-            replace(cert, order=cert.order[:-1] + (g.n + 1,)).residuals_are_zero(g)
+        for outside in (g.n + 1, 0, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                replace(cert, order=cert.order[:-1] + (outside,)).residuals_are_zero(g)
+
+    def test_reads_the_edge_sets_not_the_cached_masks(self):
+        # a wrong _bits on the graph, marking the even edge 1-3 odd, changes
+        # no answer: the identities are checked on the Laplacian of the edges
+        g = SignedGraph.all_even(5, [(1, 3), (1, 5), (2, 3), (2, 4)])
+        verdict = check_type2(g, 4, 5, EVEN)
+        cert = build_type2_eigenvectors(g, 4, 5, verdict)
+        nbr, odd = g._bits
+        odd = odd.copy()
+        odd[1] |= 1 << 3
+        odd[3] |= 1 << 1
+        vars(g)["_bits"] = nbr, odd
+        assert cert.residuals_are_zero(g)
+        assert not replace(cert, p=cert.p + 1).residuals_are_zero(g)
+
+    def test_entries_are_unbounded(self):
+        # the identities are linear in x and y, so scaling both keeps them
+        g = SignedGraph.all_even(5, [(1, 3), (1, 5), (2, 3), (2, 4)])
+        cert = build_type2_eigenvectors(g, 4, 5, check_type2(g, 4, 5, EVEN))
+        big = 10**30
+        scaled = replace(cert, x=tuple(big * a for a in cert.x), y=tuple(big * b for b in cert.y))
+        assert scaled.residuals_are_zero(g)
+        assert not replace(scaled, s=cert.s + 1).residuals_are_zero(g)
 
     def test_numeric_specialization(self):
         # x + r*y is an eigenvector for either root of x^2 - 2x; plugging a
